@@ -34,8 +34,8 @@ struct ExperimentConfig {
   NodeId crash_node = kNoNode;
   Time crash_at = 0;
 
-  /// Keep per-node delivery logs and verify cross-node consistency at the
-  /// end (disable only for very long throughput runs).
+  /// Check per-key order consistency online and keep the final stores for
+  /// the oracle (disable only for very long throughput runs).
   bool check_consistency = true;
   Time timeline_bucket = 500 * kMs;
 };

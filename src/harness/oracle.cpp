@@ -34,76 +34,60 @@ bool same_store_contents(const rsm::KvStore& a, const rsm::KvStore& b,
   return true;
 }
 
-}  // namespace
+constexpr const char* kNoState =
+    "run kept no final replica state — was the scenario's check_consistency "
+    "disabled?";
 
-ConsistencyVerdict check_replica_set_consistency(
-    const std::vector<rsm::DeliveryLog>& logs,
-    const std::vector<rsm::KvStore>& stores, const std::vector<bool>& crashed,
-    ConsistencyOptions opt) {
+/// One replica set's final state: the checker's order verdict and optional
+/// store convergence across the nodes not listed as crashed (`crashed` may
+/// be empty = all live).
+ConsistencyVerdict check_replica_set(const OrderChecker& order,
+                                     const std::vector<rsm::KvStore>& stores,
+                                     const std::vector<bool>& crashed,
+                                     ConsistencyOptions opt) {
   const std::size_t n = stores.size();
-  if (n == 0 || logs.size() != n) {
-    return fail(
-        "run kept no final replica state — was the scenario's "
-        "check_consistency disabled?");
-  }
-  std::vector<std::size_t> live;
+  if (n == 0 || order.nodes() != n) return fail(kNoState);
+  ConsistencyVerdict v = order.verdict(crashed, opt.require_equal_sequences);
+  if (!v || !opt.require_converged_stores) return v;
+  std::size_t first = n;  // the first live node, once found
   for (std::size_t i = 0; i < n; ++i) {
     if (crashed.size() == n && crashed[i]) continue;
-    live.push_back(i);
-  }
-  if (live.size() < 2) return {};  // nothing to compare
-
-  for (std::size_t x = 0; x < live.size(); ++x) {
-    for (std::size_t y = x + 1; y < live.size(); ++y) {
-      const std::size_t i = live[x];
-      const std::size_t j = live[y];
-      const rsm::DeliveryLog& li = logs[i];
-      const rsm::DeliveryLog& lj = logs[j];
-      std::string why;
-      // A trimmed log joined mid-stream via a store snapshot: its history
-      // has no common prefix with a full log, so compare the suffix instead
-      // (and fall back to common-relative-order when both are trimmed —
-      // their join points may differ).
-      if (li.trimmed() && lj.trimmed()) {
-        if (!rsm::consistent_key_orders(li, lj)) {
-          return fail("trimmed nodes " + std::to_string(i) + " and " +
-                      std::to_string(j) +
-                      " disagree on their common delivery order");
-        }
-      } else if (li.trimmed() || lj.trimmed()) {
-        const rsm::DeliveryLog& full = li.trimmed() ? lj : li;
-        const rsm::DeliveryLog& trimmed = li.trimmed() ? li : lj;
-        if (!rsm::suffix_consistent_key_orders(full, trimmed, &why)) {
-          return fail("nodes " + std::to_string(i) + " and " +
-                      std::to_string(j) +
-                      " are not suffix-consistent: " + why);
-        }
-      } else if (!rsm::prefix_consistent_key_orders(li, lj, &why)) {
-        return fail("nodes " + std::to_string(i) + " and " +
-                    std::to_string(j) + " are not prefix-consistent: " + why);
-      }
-      if (opt.require_equal_sequences && !li.trimmed() && !lj.trimmed() &&
-          li.sequence() != lj.sequence()) {
-        return fail("nodes " + std::to_string(i) + " and " +
-                    std::to_string(j) + " delivered different sequences (" +
-                    std::to_string(li.size()) + " vs " +
-                    std::to_string(lj.size()) + " commands)");
-      }
-      if (opt.require_converged_stores &&
-          !same_store_contents(stores[i], stores[j], &why)) {
-        return fail("stores of nodes " + std::to_string(i) + " and " +
-                    std::to_string(j) + " did not converge: " + why);
-      }
+    if (first == n) {
+      first = i;
+      continue;
+    }
+    std::string why;
+    if (!same_store_contents(stores[first], stores[i], &why)) {
+      return fail("stores of nodes " + std::to_string(first) + " and " +
+                  std::to_string(i) + " did not converge: " + why);
     }
   }
   return {};
 }
 
+/// One replica set's verdict from whichever state the report carries: full
+/// logs are replayed through a fresh checker, otherwise the run's own.
+ConsistencyVerdict check_group(const OrderChecker* order,
+                               const std::vector<rsm::DeliveryLog>& logs,
+                               const std::vector<rsm::KvStore>& stores,
+                               const std::vector<bool>& crashed,
+                               ConsistencyOptions opt) {
+  if (!logs.empty()) {
+    if (logs.size() != stores.size()) return fail(kNoState);
+    return check_replica_set(OrderChecker::replay(logs, crashed), stores,
+                             crashed, opt);
+  }
+  if (order == nullptr) return fail(kNoState);
+  return check_replica_set(*order, stores, crashed, opt);
+}
+
+}  // namespace
+
 ConsistencyVerdict check_cluster_consistency(const RunReport& r,
                                              ConsistencyOptions opt) {
   if (r.sharded()) return check_sharded_consistency(r, opt);
-  return check_replica_set_consistency(r.delivery_logs, r.stores,
-                                       r.crashed_at_end, opt);
+  return check_group(r.order.get(), r.delivery_logs, r.stores,
+                     r.crashed_at_end, opt);
 }
 
 ConsistencyVerdict check_sharded_consistency(const RunReport& r,
@@ -112,8 +96,8 @@ ConsistencyVerdict check_sharded_consistency(const RunReport& r,
     return fail("report carries no shards[] — not a sharded run");
   }
   for (const ShardMetrics& sm : r.shards) {
-    ConsistencyVerdict v = check_replica_set_consistency(
-        sm.delivery_logs, sm.stores, sm.crashed_at_end, opt);
+    ConsistencyVerdict v = check_group(sm.order.get(), sm.delivery_logs,
+                                       sm.stores, sm.crashed_at_end, opt);
     if (!v) {
       return fail("group " + std::to_string(sm.group) + ": " + v.detail);
     }

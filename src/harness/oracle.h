@@ -1,17 +1,24 @@
 // Cluster-consistency oracle.
 //
 // A run that merely *finishes* proves little: a rejoined replica that
-// silently omitted the slots it missed still passes the weak
-// common-relative-order check, because its log simply lacks the commands.
-// This oracle holds finished runs to the real standard:
+// silently omitted the slots it missed still agrees with everyone on the
+// relative order of the commands it did deliver. This oracle holds finished
+// runs to the real standard:
 //
 //   * per-key prefix consistency — for every key, live nodes' delivery
 //     sequences must be prefixes of one another (no command missing from the
-//     middle of anyone's history);
+//     middle of anyone's history); a node that joined mid-stream through a
+//     store snapshot must hold a suffix that reaches as far as everyone
+//     else's;
 //   * store convergence (optional) — after a quiesce tail, every live
 //     node's kv-store must hold byte-identical contents;
 //   * sequence equality (optional) — total-order protocols, fully quiesced,
 //     must agree on the entire delivery sequence, not just per key.
+//
+// The order properties are checked online, delivery by delivery, by the
+// run's OrderChecker (harness/order_checker.h); RunReport::consistent is
+// that checker's order verdict, so the two never disagree. Reports that
+// carry full per-node logs instead are replayed through the same checker.
 //
 // Nodes still crashed when the run ended are excluded: a dead replica
 // legitimately trails the cluster.
@@ -40,21 +47,6 @@ struct ConsistencyOptions {
   /// consistency is enforced.
   bool require_equal_sequences = false;
 };
-
-struct ConsistencyVerdict {
-  bool ok = true;
-  /// First violation found, human-readable (names the nodes and key).
-  std::string detail;
-  explicit operator bool() const { return ok; }
-};
-
-/// Core oracle over one replica set's final state: pairwise log checks
-/// (prefix/suffix/trimmed semantics) and optional store convergence across
-/// the nodes not listed as crashed. `crashed` may be empty (= all live).
-ConsistencyVerdict check_replica_set_consistency(
-    const std::vector<rsm::DeliveryLog>& logs,
-    const std::vector<rsm::KvStore>& stores, const std::vector<bool>& crashed,
-    ConsistencyOptions opt = {});
 
 /// Runs the oracle over a finished run's final replica state. The scenario
 /// must have kept check_consistency on (the default), or the verdict fails

@@ -19,11 +19,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/types.h"
+#include "harness/order_checker.h"
 #include "rsm/delivery_log.h"
 #include "rsm/kvstore.h"
 #include "stats/latency_stats.h"
@@ -89,8 +91,9 @@ struct ShardMetrics {
   std::uint64_t fd_suspicions = 0;
   std::uint64_t fd_retractions = 0;
 
-  /// Final replica state of this group (see RunReport::delivery_logs);
-  /// consumed by the sharded consistency oracle, never serialized.
+  /// Final replica state of this group (see RunReport::order); consumed by
+  /// the sharded consistency oracle, never serialized.
+  std::shared_ptr<const OrderChecker> order;
   std::vector<rsm::DeliveryLog> delivery_logs;
   std::vector<rsm::KvStore> stores;
   std::vector<bool> crashed_at_end;
@@ -142,17 +145,22 @@ struct RunReport {
   std::uint64_t fd_retractions = 0;
 
   /// Final replica state, captured when the scenario keeps consistency
-  /// checking on: per-node delivery logs and stores, plus which nodes were
-  /// still crashed when the run ended. Consumed by the consistency oracle in
-  /// the test harness; never serialized by the emitters.
-  std::vector<rsm::DeliveryLog> delivery_logs;
+  /// checking on: the run's online order checker and per-node stores, plus
+  /// which nodes were still crashed when the run ended. Consumed by the
+  /// consistency oracle (harness/oracle.h); never serialized by the
+  /// emitters.
+  std::shared_ptr<const OrderChecker> order;
   std::vector<rsm::KvStore> stores;
   std::vector<bool> crashed_at_end;
+  /// Full per-node delivery logs, for reports built outside run_scenario
+  /// (hand-built tests, instrumented drivers). When present the oracle
+  /// replays them through an OrderChecker instead of reading `order`.
+  std::vector<rsm::DeliveryLog> delivery_logs;
 
   /// Sharded runs only: per-group rollups and router counters. Empty for the
   /// classic single-group path, whose JSON stays byte-identical. For a
-  /// sharded run the flat delivery_logs/stores above stay empty — final
-  /// state lives per group in `shards` and the sharded oracle consumes it.
+  /// sharded run the flat order/stores above stay empty — final state lives
+  /// per group in `shards` and the sharded oracle consumes it.
   std::vector<ShardMetrics> shards;
   RouterStats router;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -753,7 +754,6 @@ using detail::aggregate;
 using detail::aggregate_counters;
 using detail::make_factory;
 using detail::plan_windows;
-using detail::record_unbundled;
 
 /// One boundary snapshot of the run's monotone counters; adjacent snapshots
 /// subtract into a window's deltas.
@@ -792,13 +792,11 @@ RunReport run_scenario(const Scenario& s) {
   result.provenance.build = std::string(build_version());
   result.windows = plan_windows(s);
 
-  std::vector<rsm::DeliveryLog> logs(s.check_consistency ? n : 0);
   std::vector<rsm::KvStore> kvs(n);
-  // Per-node instance marks: marks[node][i] = mirror-log length after the
-  // (i+1)-th protocol-level delivery. Durable delivered counts are in
-  // protocol-level instances while the mirror logs hold unbundled batch
-  // members, so a restart translates its durable prefix through these marks.
-  std::vector<std::vector<std::size_t>> marks(s.check_consistency ? n : 0);
+  std::shared_ptr<OrderChecker> order;
+  if (s.check_consistency) {
+    order = std::make_shared<OrderChecker>(n, s.storage.enabled());
+  }
 
   wl::ClientPool* pool_ptr = nullptr;
   rt::ClusterConfig ccfg;
@@ -816,51 +814,32 @@ RunReport run_scenario(const Scenario& s) {
   rt::Cluster cluster(
       sim, s.topology, ccfg, make_factory(s, result.per_node),
       [&](NodeId node, const rsm::Command& cmd) {
-        if (s.check_consistency) logs[node].record(cmd);
+        if (order) order->deliver(node, cmd, sim.now());
         kvs[node].apply(cmd);
         if (pool_ptr != nullptr) pool_ptr->on_delivery(node, cmd);
       });
-  if (s.check_consistency) {
-    cluster.set_instance_hook(
-        [&](NodeId node) { marks[node].push_back(logs[node].size()); });
+  if (order && s.storage.enabled()) {
+    cluster.set_instance_hook([&](NodeId node) {
+      order->end_instance(
+          node, cluster.node(node).durability()->durable_delivered_count());
+    });
   }
 
   wl::ClientPool pool(sim, cluster, s.workload, sim.rng().fork(), s.phases,
                       s.duration);
   pool_ptr = &pool;
 
-  // Keep the harness-side mirrors honest across durability events. A restart
-  // rolls a node's observable history back to its durable prefix (or, when
-  // its WAL was compacted, to the retained suffix — the mirror log turns
-  // trimmed and the oracle switches to suffix semantics); a catch-up
-  // snapshot install replaces the store wholesale mid-run.
+  // Keep the checker and the store mirrors honest across durability events:
+  // a restart rolls a node's history back to its durable prefix, and a
+  // catch-up snapshot install replaces its store wholesale mid-run.
   cluster.set_restart_hook([&](NodeId node,
                                const caesar::storage::RecoveredState& st) {
-    if (s.check_consistency) {
-      if (st.trimmed) {
-        logs[node].reset_trimmed();
-        // Re-base the marks: durable counts below the retained suffix are
-        // unreachable from here on (a later restart can never roll back past
-        // this snapshot), so their marks are placeholders.
-        marks[node].assign(st.delivered_count - st.log.entries().size(), 0);
-        for (const auto& [index, cmd] : st.log.entries()) {
-          record_unbundled(logs[node], cmd);
-          marks[node].push_back(logs[node].size());
-        }
-      } else {
-        const std::size_t d = st.delivered_count;
-        if (d < marks[node].size()) marks[node].resize(d);
-        logs[node].truncate(d == 0 ? 0 : marks[node][d - 1]);
-      }
-    }
+    if (order) order->restart(node, st.delivered_count, st.trimmed);
     kvs[node] = st.store;
   });
   cluster.set_snapshot_install_hook(
       [&](NodeId node, const rsm::KvStore& store, std::uint64_t delivered) {
-        if (s.check_consistency) {
-          logs[node].reset_trimmed();
-          marks[node].assign(delivered, 0);
-        }
+        if (order) order->rebase(node, delivered);
         kvs[node] = store;
       });
   // Window assignment is by completion instant: windows are half-open
@@ -974,25 +953,17 @@ RunReport run_scenario(const Scenario& s) {
                    : 0.0;
   result.proto = aggregate(result.per_node);
 
-  if (s.check_consistency) {
-    for (std::size_t i = 0; i < n && result.consistent; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (!rsm::consistent_key_orders(logs[i], logs[j])) {
-          result.consistent = false;
-          break;
-        }
-      }
-    }
-    // Hand the final replica state to the caller: the test-side consistency
-    // oracle needs the logs and stores themselves, plus which nodes were
-    // still down when the run ended (a crashed-forever node legitimately
-    // trails the cluster).
-    result.delivery_logs = std::move(logs);
-    result.stores = std::move(kvs);
+  if (order) {
+    // Hand the final replica state to the caller: the oracle reads the
+    // checker and the stores, plus which nodes were still down when the run
+    // ended (a crashed-forever node legitimately trails the cluster).
     result.crashed_at_end.resize(n);
     for (NodeId i = 0; i < n; ++i) {
       result.crashed_at_end[i] = cluster.node(i).crashed();
     }
+    result.consistent = order->verdict(result.crashed_at_end, false).ok;
+    result.order = std::move(order);
+    result.stores = std::move(kvs);
   }
 
   result.messages = cluster.network().messages_delivered();

@@ -128,8 +128,9 @@ struct Scenario {
   clockrsm::ClockRsmConfig clockrsm;
   mpaxos::MultiPaxosConfig multipaxos{/*leader=*/3};  // Ireland by default
 
-  /// Keep per-node delivery logs and verify cross-node consistency at the
-  /// end (disable only for very long throughput runs).
+  /// Check per-key order consistency online (harness/order_checker.h) and
+  /// keep the final stores for the oracle (disable only for very long
+  /// throughput runs).
   bool check_consistency = true;
   Time timeline_bucket = 500 * kMs;
   /// Fixed metrics-window width (0 = one window per workload phase instead).

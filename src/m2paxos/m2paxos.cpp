@@ -299,7 +299,16 @@ void M2Paxos::handle_acquire_reply(NodeId from, net::Decoder& d) {
     }
     ++acq.denials;
   }
-  if (acq.grants >= cq_) {
+  // While this acquisition was in flight we may have granted a higher claim
+  // on one of its keys ourselves. The majority we gathered is then void:
+  // proceeding would tag our accepts with the claimer's epoch (our promise)
+  // and let two owners decide different commands at the same positions
+  // under one epoch.
+  bool superseded = false;
+  for (const auto& [key, epoch] : acq.epochs) {
+    superseded = superseded || keys_[key].promised_epoch != epoch;
+  }
+  if (acq.grants >= cq_ && !superseded) {
     acq.resolved = true;
     // We own every key now; position counters resume after the highest
     // instance any grantor had seen (including adopted in-flight values).
@@ -339,9 +348,10 @@ void M2Paxos::handle_acquire_reply(NodeId from, net::Decoder& d) {
     for (auto& q : queued) route(std::move(q), 0);
     return;
   }
-  if (acq.denials > n_ - cq_) {
-    // Can no longer reach a majority: back off and re-route (the winner's
-    // ownership will have propagated by then).
+  if (acq.denials > n_ - cq_ || superseded) {
+    // Can no longer reach a majority, or lost the keys to a higher claim:
+    // back off and re-route (the winner's ownership will have propagated by
+    // then).
     acq.resolved = true;
     rsm::Command cmd = std::move(acq.cmd);
     std::vector<rsm::Command> queued = std::move(acq.queued);

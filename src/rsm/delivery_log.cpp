@@ -20,62 +20,32 @@ bool common_subsequence_ordered(const std::vector<CmdId>& x,
   return fx == fy;
 }
 
+/// Fast path for the common case: one sequence is a prefix of the other.
+/// Then the common elements are exactly the shorter sequence, in order —
+/// unless the longer one's tail repeats an id from the prefix, which only the
+/// full comparison judges correctly.
+bool prefix_ordered(const std::vector<CmdId>& x, const std::vector<CmdId>& y) {
+  const auto& shorter = x.size() <= y.size() ? x : y;
+  const auto& longer = x.size() <= y.size() ? y : x;
+  if (!std::equal(shorter.begin(), shorter.end(), longer.begin())) {
+    return false;
+  }
+  if (shorter.size() == longer.size()) return true;
+  const std::unordered_set<CmdId> tail(
+      longer.begin() + static_cast<std::ptrdiff_t>(shorter.size()),
+      longer.end());
+  return std::none_of(shorter.begin(), shorter.end(),
+                      [&tail](CmdId id) { return tail.count(id) != 0; });
+}
+
 }  // namespace
 
 bool consistent_key_orders(const DeliveryLog& a, const DeliveryLog& b) {
   for (const auto& [key, seq_a] : a.per_key()) {
     const auto& seq_b = b.key_sequence(key);
     if (seq_b.empty()) continue;
+    if (prefix_ordered(seq_a, seq_b)) continue;
     if (!common_subsequence_ordered(seq_a, seq_b)) return false;
-  }
-  return true;
-}
-
-bool prefix_consistent_key_orders(const DeliveryLog& a, const DeliveryLog& b,
-                                  std::string* why) {
-  // Iterate the union of keys: a key only one side has seen is trivially
-  // prefix-consistent (empty prefix), so only shared keys need comparing.
-  for (const auto& [key, seq_a] : a.per_key()) {
-    const auto& seq_b = b.key_sequence(key);
-    const std::size_t common = std::min(seq_a.size(), seq_b.size());
-    for (std::size_t i = 0; i < common; ++i) {
-      if (seq_a[i] != seq_b[i]) {
-        if (why != nullptr) {
-          *why = "key " + std::to_string(key) + " diverges at position " +
-                 std::to_string(i) + ": " + cmd_id_str(seq_a[i]) + " vs " +
-                 cmd_id_str(seq_b[i]);
-        }
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool suffix_consistent_key_orders(const DeliveryLog& full,
-                                  const DeliveryLog& trimmed,
-                                  std::string* why) {
-  for (const auto& [key, seq_t] : trimmed.per_key()) {
-    const auto& seq_f = full.key_sequence(key);
-    if (seq_t.size() > seq_f.size()) {
-      if (why != nullptr) {
-        *why = "key " + std::to_string(key) + ": trimmed log has " +
-               std::to_string(seq_t.size()) + " deliveries but full log only " +
-               std::to_string(seq_f.size());
-      }
-      return false;
-    }
-    const std::size_t off = seq_f.size() - seq_t.size();
-    for (std::size_t i = 0; i < seq_t.size(); ++i) {
-      if (seq_t[i] != seq_f[off + i]) {
-        if (why != nullptr) {
-          *why = "key " + std::to_string(key) + " suffix diverges at position " +
-                 std::to_string(i) + ": " + cmd_id_str(seq_t[i]) + " vs " +
-                 cmd_id_str(seq_f[off + i]);
-        }
-        return false;
-      }
-    }
   }
   return true;
 }

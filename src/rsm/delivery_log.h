@@ -1,11 +1,14 @@
 // Records the order in which a node delivered (decided) commands.
 //
-// Used by tests to check the Generalized Consensus consistency property:
+// A full per-node history, for protocol unit tests and instrumented drivers
+// that check the Generalized Consensus consistency property themselves:
 // for every key, all nodes must deliver the commands touching that key in
-// the same relative order (non-conflicting commands may be permuted).
+// the same relative order (non-conflicting commands may be permuted). Run
+// drivers check it online instead (harness/order_checker.h), and the
+// oracle replays these logs through that checker when a report carries
+// them.
 #pragma once
 
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -74,23 +77,5 @@ class DeliveryLog {
 /// elements of the two per-key sequences appear in the same relative order.
 /// (Nodes may have delivered different prefixes when a run is cut off.)
 bool consistent_key_orders(const DeliveryLog& a, const DeliveryLog& b);
-
-/// Stronger oracle: for every key, the shorter of the two per-key sequences
-/// must be a *prefix* of the longer. Rules out the gap a missing catch-up
-/// leaves behind (a rejoined node resuming delivery with missed commands
-/// omitted from the middle), which the common-relative-order check cannot
-/// see. On failure fills `why` (when non-null) with the first offending key
-/// and position.
-bool prefix_consistent_key_orders(const DeliveryLog& a, const DeliveryLog& b,
-                                  std::string* why = nullptr);
-
-/// Oracle for trimmed logs (see DeliveryLog::reset_trimmed): for every key
-/// the trimmed log has seen, its per-key sequence must be a contiguous
-/// *suffix* of the full log's — the trimmed node joined mid-stream via a
-/// store snapshot and must have delivered everything after its join point in
-/// the cluster order, with nothing missing from the middle or end.
-bool suffix_consistent_key_orders(const DeliveryLog& full,
-                                  const DeliveryLog& trimmed,
-                                  std::string* why = nullptr);
 
 }  // namespace caesar::rsm

@@ -71,7 +71,8 @@ class Cluster {
   void restart(NodeId id);
 
   /// Observes every restart's replayed state before the node rejoins —
-  /// the harness re-seeds its per-node mirrors (delivery log, store) here.
+  /// the harness rewinds its order checker and re-seeds its store mirrors
+  /// here.
   using RestartHook =
       std::function<void(NodeId, const storage::RecoveredState&)>;
   void set_restart_hook(RestartHook h) { restart_hook_ = std::move(h); }

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <vector>
 
-#include "rsm/delivery_log.h"
+#include "harness/order_checker.h"
 #include "rsm/kvstore.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_cluster.h"
@@ -66,16 +67,15 @@ RunReport run_sharded_scenario(const Scenario& s) {
     result.shards[g].windows = result.windows;  // same slicing per group
   }
 
-  // Harness-side mirrors of each group's replica state.
-  std::vector<std::vector<rsm::DeliveryLog>> logs(
-      groups, std::vector<rsm::DeliveryLog>(s.check_consistency ? n : 0));
+  // Harness-side checker and store mirrors of each group's replica state.
+  std::vector<std::shared_ptr<harness::OrderChecker>> orders(groups);
+  if (s.check_consistency) {
+    for (auto& order : orders) {
+      order = std::make_shared<harness::OrderChecker>(n, s.storage.enabled());
+    }
+  }
   std::vector<std::vector<rsm::KvStore>> kvs(groups,
                                              std::vector<rsm::KvStore>(n));
-  // Per-replica instance marks translating durable protocol-level delivery
-  // counts into unbundled mirror-log lengths (see run_scenario).
-  std::vector<std::vector<std::vector<std::size_t>>> marks(
-      groups,
-      std::vector<std::vector<std::size_t>>(s.check_consistency ? n : 0));
 
   rt::ClusterConfig ccfg;
   ccfg.node = s.node;
@@ -101,7 +101,7 @@ RunReport run_sharded_scenario(const Scenario& s) {
         return harness::detail::make_factory(s, result.per_node, g * n);
       },
       [&](std::uint32_t g, NodeId node, const rsm::Command& cmd) {
-        if (s.check_consistency) logs[g][node].record(cmd);
+        if (orders[g]) orders[g]->deliver(node, cmd, sim.now());
         kvs[g][node].apply(cmd);
         if (router_ptr != nullptr) router_ptr->on_delivery(g, node, cmd);
         if (pool_ptr != nullptr) {
@@ -111,9 +111,12 @@ RunReport run_sharded_scenario(const Scenario& s) {
         }
       });
 
-  if (s.check_consistency) {
+  if (s.check_consistency && s.storage.enabled()) {
     cluster.set_instance_hook([&](std::uint32_t g, NodeId node) {
-      marks[g][node].push_back(logs[g][node].size());
+      orders[g]->end_instance(node, cluster.group(g)
+                                        .node(node)
+                                        .durability()
+                                        ->durable_delivered_count());
     });
   }
 
@@ -125,32 +128,17 @@ RunReport run_sharded_scenario(const Scenario& s) {
   pool_ptr = &pool;
   router.set_loss_hook([&pool](ReqId req) { pool.on_request_lost(req); });
 
-  // Keep the mirrors honest across durability events (see run_scenario).
+  // Keep the checkers and mirrors honest across durability events (see
+  // run_scenario).
   cluster.set_restart_hook([&](std::uint32_t g, NodeId node,
                                const caesar::storage::RecoveredState& st) {
-    if (s.check_consistency) {
-      if (st.trimmed) {
-        logs[g][node].reset_trimmed();
-        marks[g][node].assign(st.delivered_count - st.log.entries().size(), 0);
-        for (const auto& [index, cmd] : st.log.entries()) {
-          harness::detail::record_unbundled(logs[g][node], cmd);
-          marks[g][node].push_back(logs[g][node].size());
-        }
-      } else {
-        const std::size_t d = st.delivered_count;
-        if (d < marks[g][node].size()) marks[g][node].resize(d);
-        logs[g][node].truncate(d == 0 ? 0 : marks[g][node][d - 1]);
-      }
-    }
+    if (orders[g]) orders[g]->restart(node, st.delivered_count, st.trimmed);
     kvs[g][node] = st.store;
   });
   cluster.set_snapshot_install_hook(
       [&](std::uint32_t g, NodeId node, const rsm::KvStore& store,
           std::uint64_t delivered) {
-        if (s.check_consistency) {
-          logs[g][node].reset_trimmed();
-          marks[g][node].assign(delivered, 0);
-        }
+        if (orders[g]) orders[g]->rebase(node, delivered);
         kvs[g][node] = store;
       });
 
@@ -327,22 +315,15 @@ RunReport run_sharded_scenario(const Scenario& s) {
     result.messages += sm.messages;
     result.bytes += sm.bytes;
 
-    if (s.check_consistency) {
-      for (std::size_t i = 0; i < n && sm.consistent; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-          if (!rsm::consistent_key_orders(logs[g][i], logs[g][j])) {
-            sm.consistent = false;
-            break;
-          }
-        }
-      }
-      result.consistent = result.consistent && sm.consistent;
-      sm.delivery_logs = std::move(logs[g]);
-      sm.stores = std::move(kvs[g]);
+    if (orders[g]) {
       sm.crashed_at_end.resize(n);
       for (NodeId i = 0; i < n; ++i) {
         sm.crashed_at_end[i] = cluster.group(g).node(i).crashed();
       }
+      sm.consistent = orders[g]->verdict(sm.crashed_at_end, false).ok;
+      result.consistent = result.consistent && sm.consistent;
+      sm.order = std::move(orders[g]);
+      sm.stores = std::move(kvs[g]);
     }
   }
 

@@ -188,6 +188,7 @@ void Durability::appended(std::size_t bytes) {
 }
 
 void Durability::flush_now(bool charge_cpu) {
+  synced_delivered_ = delivered_count_;
   if (!wal_.flush()) return;
   if (stats_ != nullptr) ++stats_->fsyncs;
   if (charge_cpu && charge_ && cfg_.fsync_cost_us > 0) {
@@ -375,6 +376,7 @@ RecoveredState Durability::replay() {
   hash_ = st.log.rolling_hash();
   bound_ = st.bound;
   delivered_count_ = st.delivered_count;
+  synced_delivered_ = st.delivered_count;
   trimmed_ = st.trimmed;
   accepts_ = std::move(accepts);
   delivers_since_snapshot_ = 0;

@@ -60,8 +60,8 @@ struct RecoveredState {
   std::uint64_t bound = 0;
   /// Accepted-but-undelivered entries, in index order.
   std::vector<std::pair<std::uint64_t, rsm::Command>> accepts;
-  /// Total commands this node had durably delivered (harness mirrors
-  /// truncate their delivery logs back to this count on restart).
+  /// Total commands this node had durably delivered (the harness rewinds
+  /// its view of the node's history back to this count on restart).
   std::uint64_t delivered_count = 0;
   /// True when the state derives from an installed snapshot whose history
   /// predates this node's WAL: the delivery-log mirror cannot replay the
@@ -123,6 +123,11 @@ class Durability {
   const rsm::KvStore& mirror_store() const { return mirror_; }
   std::uint64_t frontier() const { return frontier_; }
   std::uint64_t delivered_count() const { return delivered_count_; }
+  /// Deliveries already on disk: the delivered_count a replay() right now
+  /// would recover (buffered WAL records do not survive a crash).
+  std::uint64_t durable_delivered_count() const {
+    return wal_.pending_bytes() == 0 ? delivered_count_ : synced_delivered_;
+  }
   std::uint64_t prefix_hash() const { return hash_; }
   std::size_t wal_segment_count() const { return wal_.segment_files().size(); }
   std::uint64_t segments_truncated() const { return segments_truncated_; }
@@ -162,6 +167,8 @@ class Durability {
   std::uint64_t hash_;  // rolling prefix hash over delivered (index, id)
   std::uint64_t bound_ = 0;
   std::uint64_t delivered_count_ = 0;
+  /// delivered_count_ as of the last time the WAL buffer was written out.
+  std::uint64_t synced_delivered_ = 0;
   bool trimmed_ = false;
   /// Accepted-but-undelivered entries, re-logged at checkpoints.
   std::map<std::uint64_t, rsm::Command> accepts_;

@@ -18,14 +18,11 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "harness/consistency_checker.h"
+#include "harness/oracle.h"
 #include "harness/scenario.h"
 
 namespace caesar::harness {
 namespace {
-
-using caesar::testing::check_cluster_consistency;
-using caesar::testing::ConsistencyOptions;
 
 constexpr Time kRun = 5 * kSec;
 constexpr Time kQuiesceAt = 2800 * kMs;  // drain tail before the oracle runs

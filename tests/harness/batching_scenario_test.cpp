@@ -9,15 +9,12 @@
 #include <stdexcept>
 #include <string>
 
-#include "harness/consistency_checker.h"
+#include "harness/oracle.h"
 #include "harness/report.h"
 #include "harness/scenario.h"
 
 namespace caesar::harness {
 namespace {
-
-using caesar::testing::check_cluster_consistency;
-using caesar::testing::ConsistencyOptions;
 
 constexpr ConsistencyOptions kStrict{/*require_converged_stores=*/true,
                                      /*require_equal_sequences=*/true};
@@ -89,9 +86,9 @@ TEST(BatchingScenarioTest, PartitionHealStaysConsistentCaesar) {
 // --- batch unbundle vs restart-from-disk -----------------------------------
 
 TEST(BatchingScenarioTest, RestartFromDiskReplaysBatchesConsistently) {
-  // Restart truncates the harness mirror log to the durable delivered count
-  // and re-records the replayed suffix: both paths must translate between
-  // protocol-level deliveries (composites) and unbundled member commands.
+  // Restart rewinds the order checker to the durable delivered count, which
+  // counts protocol-level deliveries (composites) while the checker sees
+  // unbundled member commands: the rewind must translate between the two.
   Scenario s = with_saturation_knobs(make_scenario("restart-disk"));
   s.protocol = ProtocolKind::kMencius;
   s.storage.data_dir = "caesar-data/test-batched-restart";

@@ -4,6 +4,9 @@
 // queue, the flat key index and the wait-condition waiter index.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "harness/report.h"
 #include "harness/run_report.h"
 #include "harness/scenario.h"
@@ -140,6 +143,42 @@ TEST(DeterminismTest, DeadNodeSameSeedSameJson) {
     EXPECT_EQ(a, b) << "protocol kind " << static_cast<int>(kind);
     EXPECT_NE(a.find("\"consistent\":true"), std::string::npos);
     EXPECT_NE(a.find("\"revocations\":"), std::string::npos);
+  }
+}
+
+TEST(DeterminismTest, SameSeedSameJsonEveryRegisteredScenario) {
+  // Every registered scenario runs in full, fault schedule included, except
+  // the four whose client load makes a full run cost seconds: those are cut
+  // to their first 250 simulated milliseconds.
+  const std::set<std::string> heavy = {"fig12-failover", "saturation",
+                                       "sharded-fault", "sharded-saturation"};
+  for (const ScenarioInfo& info : list_scenarios()) {
+    Scenario s = info.make();
+    if (s.storage.enabled()) {
+      // Own data dir: other suites run the same scenario concurrently.
+      s.storage.data_dir = "caesar-data/test-determinism-" + info.name;
+    }
+    if (heavy.count(info.name) != 0) {
+      const Time cut = 250 * kMs;
+      s.duration = cut;
+      s.warmup = cut / 5;
+      std::erase_if(s.faults,
+                    [cut](const FaultEvent& e) { return e.at >= cut; });
+      std::erase_if(s.phases,
+                    [cut](const wl::PhaseSpec& p) { return p.at >= cut; });
+      std::erase_if(s.sample_stats_at, [cut](Time t) { return t >= cut; });
+    }
+    auto json = [&s] {
+      RunReport r = run_scenario(s);
+      r.provenance.build = "";
+      return to_json(r);
+    };
+    const std::string a = json();
+    EXPECT_EQ(a, json()) << info.name;
+    if (s.check_consistency) {
+      EXPECT_NE(a.find("\"consistent\":true"), std::string::npos)
+          << info.name;
+    }
   }
 }
 

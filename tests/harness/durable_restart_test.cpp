@@ -7,14 +7,11 @@
 
 #include <string>
 
-#include "harness/consistency_checker.h"
+#include "harness/oracle.h"
 #include "harness/scenario.h"
 
 namespace caesar::harness {
 namespace {
-
-using caesar::testing::check_cluster_consistency;
-using caesar::testing::ConsistencyOptions;
 
 constexpr ConsistencyOptions kStrict{/*require_converged_stores=*/true,
                                      /*require_equal_sequences=*/true};
@@ -80,7 +77,8 @@ void run_restart_disk(ProtocolKind kind, const std::string& tag) {
   // crash-window suffix from peers, so catch-up ran but moved far less than
   // the node's full history.
   EXPECT_GE(r.proto.catchup_requests, 1u);
-  EXPECT_LT(r.proto.catchup_commands, r.delivery_logs[0].size());
+  ASSERT_NE(r.order, nullptr);
+  EXPECT_LT(r.proto.catchup_commands, r.order->delivered(0));
 }
 
 TEST(RestartDiskTest, MenciusRestartsFromSnapshotAndWal) {
@@ -125,12 +123,13 @@ TEST(CompactionHorizonTest, RejoinerBehindHorizonGetsSnapshotThenSuffix) {
   // deleted — and the rejoiner crossed the horizon via a snapshot install.
   EXPECT_GT(r.proto.snapshots, 0u);
   EXPECT_GT(r.proto.truncated_segments, 0u);
-  ASSERT_EQ(r.delivery_logs.size(), 5u);
-  EXPECT_TRUE(r.delivery_logs[2].trimmed())
+  ASSERT_NE(r.order, nullptr);
+  ASSERT_EQ(r.order->nodes(), 5u);
+  EXPECT_TRUE(r.order->trimmed(2))
       << "node 2 rejoined without installing a catch-up snapshot — did the "
          "responder serve the whole prefix despite compaction?";
   // It still delivered the post-install stream in cluster order.
-  EXPECT_GT(r.delivery_logs[2].size(), 0u);
+  EXPECT_GT(r.order->delivered(2), 0u);
   expect_consistent(r, kConverged);
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/oracle.h"
+
 namespace caesar::harness {
 namespace {
 
@@ -50,6 +52,24 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ProtocolKind>& info) {
       return std::string(to_string(info.param));
     });
+
+// Seeds on which two nodes' first acquisitions of a shared key race: the
+// loser grants the winner's higher claim while its own acquisition is in
+// flight. If it still completed its majority it would decide under the
+// winner's epoch — two commands chosen at one per-key position, each
+// delivered first by part of the cluster.
+TEST(M2PaxosRegressionTest, RacingFirstAcquisitionsKeepOneKeyOrder) {
+  for (std::uint64_t seed : {42, 3, 7}) {
+    ExperimentConfig cfg = small_config(ProtocolKind::kM2Paxos, 0.5);
+    cfg.seed = seed;
+    const ExperimentResult r = run_experiment(cfg);
+    EXPECT_TRUE(r.consistent) << "seed " << seed;
+    const ConsistencyVerdict v = check_cluster_consistency(
+        r, ConsistencyOptions{/*require_converged_stores=*/false,
+                              /*require_equal_sequences=*/false});
+    EXPECT_TRUE(v.ok) << "seed " << seed << ": " << v.detail;
+  }
+}
 
 TEST(HarnessTest, SiteMetricsCoverAllFiveSites) {
   ExperimentResult r = run_experiment(small_config(ProtocolKind::kCaesar, 0.0));

@@ -6,8 +6,8 @@
 
 #include <stdexcept>
 
-#include "harness/consistency_checker.h"
 #include "harness/experiment.h"
+#include "harness/oracle.h"
 
 namespace caesar::harness {
 namespace {
@@ -190,8 +190,8 @@ TEST(ScenarioRunTest, PartitionHealStaysConsistentAndFastPathRecovers) {
   // stronger oracle: nobody's history omits a command from the middle
   // (partitions hold traffic, they never lose it).
   EXPECT_TRUE(r.consistent);
-  const auto verdict = testing::check_cluster_consistency(
-      r, testing::ConsistencyOptions{/*require_converged_stores=*/false,
+  const auto verdict = check_cluster_consistency(
+      r, ConsistencyOptions{/*require_converged_stores=*/false,
                                      /*require_equal_sequences=*/false});
   EXPECT_TRUE(verdict.ok) << verdict.detail;
   EXPECT_GT(r.completed, 1000u);
@@ -249,8 +249,8 @@ TEST(ScenarioRunTest, PartitionHealWorksForEveryProtocol) {
     ExperimentResult r = run_scenario(s);
     EXPECT_TRUE(r.consistent) << to_string(kind);
     EXPECT_GT(r.completed, 100u) << to_string(kind);
-    const auto verdict = testing::check_cluster_consistency(
-        r, testing::ConsistencyOptions{/*require_converged_stores=*/false,
+    const auto verdict = check_cluster_consistency(
+        r, ConsistencyOptions{/*require_converged_stores=*/false,
                                        /*require_equal_sequences=*/false});
     EXPECT_TRUE(verdict.ok) << to_string(kind) << ": " << verdict.detail;
   }
@@ -298,8 +298,8 @@ TEST(ScenarioRunTest, CrashRecoverResumesDeliveryForEveryProtocol) {
     // (EPaxos/M2Paxos instance-space catch-up is a ROADMAP follow-up).
     if (kind == ProtocolKind::kMencius || kind == ProtocolKind::kClockRsm ||
         kind == ProtocolKind::kMultiPaxos) {
-      const auto verdict = testing::check_cluster_consistency(
-          r, testing::ConsistencyOptions{/*require_converged_stores=*/false,
+      const auto verdict = check_cluster_consistency(
+          r, ConsistencyOptions{/*require_converged_stores=*/false,
                                          /*require_equal_sequences=*/false});
       EXPECT_TRUE(verdict.ok) << to_string(kind) << ": " << verdict.detail;
     }

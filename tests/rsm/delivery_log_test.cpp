@@ -85,5 +85,26 @@ TEST(DeliveryLogTest, DivergenceHiddenByGapsStillDetected) {
   EXPECT_FALSE(consistent_key_orders(a, b));
 }
 
+TEST(DeliveryLogTest, GapAgainstSwapFallsBackAndIsRejected) {
+  // Neither sequence is a prefix of the other, so the prefix fast path
+  // declines and the full comparison decides: a skipped 2, b swapped 3 and
+  // 4, and the common elements {1, 3, 4} disagree on order.
+  DeliveryLog a, b;
+  for (CmdId id : {1, 3, 4}) a.record(cmd(id, {10}));
+  for (CmdId id : {1, 2, 4, 3}) b.record(cmd(id, {10}));
+  EXPECT_FALSE(consistent_key_orders(a, b));
+  EXPECT_FALSE(consistent_key_orders(b, a));
+}
+
+TEST(DeliveryLogTest, PrefixWithRepeatedIdInTailFallsBack) {
+  // b extends a but re-delivers 1 after 2: the common elements are ordered
+  // 1 2 on a and 1 2 1 on b, which the full comparison rejects.
+  DeliveryLog a, b;
+  for (CmdId id : {1, 2}) a.record(cmd(id, {10}));
+  for (CmdId id : {1, 2, 1}) b.record(cmd(id, {10}));
+  EXPECT_FALSE(consistent_key_orders(a, b));
+  EXPECT_FALSE(consistent_key_orders(b, a));
+}
+
 }  // namespace
 }  // namespace caesar::rsm

@@ -80,10 +80,15 @@ TEST(DurabilityTest, BatchedModeLosesUnflushedTailOnPowerLoss) {
     for (std::uint64_t i = 0; i < 4; ++i) {
       d.record_deliver(i, i + 1, make_cmd(i, i, i));
     }
+    EXPECT_EQ(d.durable_delivered_count(), 0u);
     d.flush();
+    EXPECT_EQ(d.durable_delivered_count(), 4u);
     for (std::uint64_t i = 4; i < 7; ++i) {
       d.record_deliver(i, i + 1, make_cmd(i, i, i));
     }
+    EXPECT_EQ(d.delivered_count(), 7u);
+    // What a replay would recover right now, before the crash.
+    EXPECT_EQ(d.durable_delivered_count(), 4u);
     d.on_crash();  // the 3-deliver tail was never flushed
   }
   Durability d2(dir, cfg);
@@ -91,6 +96,7 @@ TEST(DurabilityTest, BatchedModeLosesUnflushedTailOnPowerLoss) {
   EXPECT_EQ(st.frontier, 4u);
   EXPECT_EQ(st.delivered_count, 4u);
   EXPECT_EQ(st.log.size(), 4u);
+  EXPECT_EQ(d2.durable_delivered_count(), 4u);
 }
 
 // The index-reuse fence is force-flushed even in sync-mode none: a restarted

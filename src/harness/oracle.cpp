@@ -96,8 +96,8 @@ ConsistencyVerdict check_sharded_consistency(const RunReport& r,
     return fail("report carries no shards[] — not a sharded run");
   }
   for (const ShardMetrics& sm : r.shards) {
-    ConsistencyVerdict v = check_group(sm.order.get(), sm.delivery_logs,
-                                       sm.stores, sm.crashed_at_end, opt);
+    ConsistencyVerdict v = check_group(sm.order.get(), {}, sm.stores,
+                                       sm.crashed_at_end, opt);
     if (!v) {
       return fail("group " + std::to_string(sm.group) + ": " + v.detail);
     }

@@ -236,19 +236,12 @@ void latency_json(std::ostream& os, const stats::LatencyStats& l,
 }
 
 void counters_json(std::ostream& os, const stats::ProtocolCounters& c) {
-  os << "{\"fast_decisions\":" << c.fast_decisions
-     << ",\"slow_decisions\":" << c.slow_decisions
-     << ",\"retries\":" << c.retries
-     << ",\"slow_proposals\":" << c.slow_proposals
-     << ",\"recoveries\":" << c.recoveries << ",\"waits\":" << c.waits
-     << ",\"catchup_requests\":" << c.catchup_requests
-     << ",\"catchup_chunks\":" << c.catchup_chunks
-     << ",\"catchup_commands\":" << c.catchup_commands
-     << ",\"revocations\":" << c.revocations
-     << ",\"wal_appends\":" << c.wal_appends << ",\"fsyncs\":" << c.fsyncs
-     << ",\"snapshots\":" << c.snapshots
-     << ",\"truncated_segments\":" << c.truncated_segments
-     << ",\"fast_path_fraction\":" << json_num(c.fast_path_fraction()) << "}";
+  char sep = '{';
+  for (const auto& f : stats::ProtocolCounters::fields()) {
+    os << sep << '"' << f.name << "\":" << c.*f.member;
+    sep = ',';
+  }
+  os << ",\"fast_path_fraction\":" << json_num(c.fast_path_fraction()) << "}";
 }
 
 void provenance_json(std::ostream& os, const Provenance& p) {
@@ -301,7 +294,7 @@ std::string to_json(const RunReport& r) {
      << ",\"latency_us\":";
   latency_json(os, r.total_latency);
   os << ",\"protocol\":";
-  counters_json(os, r.proto.counters());
+  counters_json(os, r.proto);
   // Percentile summaries of the protocol-internal pools (paper Fig 11):
   // wait-condition park times and the leader's phase breakdown.
   os << ",\"phase_latency_us\":{\"wait\":";
@@ -372,7 +365,7 @@ std::string to_json(const RunReport& r) {
          << ",\"retractions\":" << s.fd_retractions << "},\"latency_us\":";
       latency_json(os, s.latency);
       os << ",\"protocol\":";
-      counters_json(os, s.proto.counters());
+      counters_json(os, s.proto);
       os << ",\"windows\":[";
       for (std::size_t w = 0; w < s.windows.size(); ++w) {
         if (w) os << ",";

@@ -1,7 +1,6 @@
 // RunReport: the structured result of one scenario run.
 //
-// Successor to the seed's flat ExperimentResult (which survives as an alias
-// for source compatibility): besides the run-wide aggregates it carries
+// Besides the run-wide aggregates it carries
 //
 //   * metrics windows — one per workload phase inside the measurement
 //     interval, or fixed-width slices when the scenario requests them — each
@@ -94,7 +93,6 @@ struct ShardMetrics {
   /// Final replica state of this group (see RunReport::order); consumed by
   /// the sharded consistency oracle, never serialized.
   std::shared_ptr<const OrderChecker> order;
-  std::vector<rsm::DeliveryLog> delivery_logs;
   std::vector<rsm::KvStore> stores;
   std::vector<bool> crashed_at_end;
 };
@@ -157,10 +155,10 @@ struct RunReport {
   /// replays them through an OrderChecker instead of reading `order`.
   std::vector<rsm::DeliveryLog> delivery_logs;
 
-  /// Sharded runs only: per-group rollups and router counters. Empty for the
-  /// classic single-group path, whose JSON stays byte-identical. For a
-  /// sharded run the flat order/stores above stay empty — final state lives
-  /// per group in `shards` and the sharded oracle consumes it.
+  /// Runs with more than one group only: per-group rollups and router
+  /// counters. Empty for a single group, whose JSON carries neither section.
+  /// For a sharded run the flat order/stores above stay empty — final state
+  /// lives per group in `shards` and the sharded oracle consumes it.
   std::vector<ShardMetrics> shards;
   RouterStats router;
 
@@ -174,10 +172,6 @@ struct RunReport {
   /// Window lookup by label ("phase1", "win3", "run"); nullptr when absent.
   const stats::MetricsWindow* window(std::string_view label) const;
 };
-
-/// The seed's result type, now a view onto RunReport. New code should say
-/// RunReport.
-using ExperimentResult = RunReport;
 
 // ---------------------------------------------------------------------------
 // A/B diffing

@@ -9,7 +9,8 @@
 
 #include "rsm/delivery_log.h"
 #include "rsm/kvstore.h"
-#include "shard/sharded_scenario.h"
+#include "shard/shard_router.h"
+#include "shard/sharded_cluster.h"
 
 namespace caesar::harness {
 
@@ -413,6 +414,14 @@ void check_node_in_range(const Scenario& s, NodeId node, const char* what) {
   }
 }
 
+/// Whether the protocol rebuilds a restarted node from its snapshot + WAL
+/// (Protocol::on_restore). The others would restart empty, silently losing
+/// what they had acknowledged.
+bool restores_from_disk(ProtocolKind p) {
+  return p == ProtocolKind::kMencius || p == ProtocolKind::kMultiPaxos ||
+         p == ProtocolKind::kClockRsm;
+}
+
 }  // namespace
 
 void validate_scenario(const Scenario& s) {
@@ -513,19 +522,20 @@ void validate_scenario(const Scenario& s) {
         check_node_in_range(s, e.b, "fault.b");
         if (e.a == e.b) fail(s, to_string(e) + " partitions a node from itself");
         break;
+      case FaultEvent::Kind::kRestart:
+        check_node_in_range(s, e.node, "fault.node");
+        [[fallthrough]];
       case FaultEvent::Kind::kPowerLoss:
         if (!s.storage.enabled()) {
           fail(s, to_string(e) +
                       " requires durable storage (set Scenario::storage."
                       "data_dir), or there is nothing to restart from");
         }
-        break;
-      case FaultEvent::Kind::kRestart:
-        check_node_in_range(s, e.node, "fault.node");
-        if (!s.storage.enabled()) {
-          fail(s, to_string(e) +
-                      " requires durable storage (set Scenario::storage."
-                      "data_dir), or there is nothing to restart from");
+        if (!restores_from_disk(s.protocol)) {
+          fail(s, to_string(e) + " needs a protocol that restores from disk; " +
+                      std::string(to_string(s.protocol)) +
+                      " implements no Protocol::on_restore, so a restarted "
+                      "node would come back empty");
         }
         break;
     }
@@ -653,20 +663,7 @@ stats::ProtocolStats aggregate(const std::vector<stats::ProtocolStats>& per_node
                         : std::min(per_node.size(), offset + count);
   for (std::size_t i = offset; i < end; ++i) {
     const auto& s = per_node[i];
-    total.fast_decisions += s.fast_decisions;
-    total.slow_decisions += s.slow_decisions;
-    total.retries += s.retries;
-    total.slow_proposals += s.slow_proposals;
-    total.recoveries += s.recoveries;
-    total.waits += s.waits;
-    total.catchup_requests += s.catchup_requests;
-    total.catchup_chunks += s.catchup_chunks;
-    total.catchup_commands += s.catchup_commands;
-    total.revocations += s.revocations;
-    total.wal_appends += s.wal_appends;
-    total.fsyncs += s.fsyncs;
-    total.snapshots += s.snapshots;
-    total.truncated_segments += s.truncated_segments;
+    total += s;
     total.wait_time.merge(s.wait_time);
     total.propose_phase.merge(s.propose_phase);
     total.retry_phase.merge(s.retry_phase);
@@ -682,7 +679,7 @@ stats::ProtocolCounters aggregate_counters(
   const std::size_t end =
       count == SIZE_MAX ? per_node.size()
                         : std::min(per_node.size(), offset + count);
-  for (std::size_t i = offset; i < end; ++i) total += per_node[i].counters();
+  for (std::size_t i = offset; i < end; ++i) total += per_node[i];
   return total;
 }
 
@@ -755,29 +752,61 @@ using detail::aggregate_counters;
 using detail::make_factory;
 using detail::plan_windows;
 
+/// One group's monotone counters at a window boundary.
+struct GroupSnap {
+  stats::ProtocolCounters proto;
+  /// Commands the router sent into the group (sharded runs only).
+  std::uint64_t routed = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+};
+
 /// One boundary snapshot of the run's monotone counters; adjacent snapshots
 /// subtract into a window's deltas.
 struct BoundarySnap {
-  stats::ProtocolCounters proto;
   std::uint64_t submitted = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  /// Per-node latency-pool sample counts; adjacent snapshots delimit the
-  /// samples each window range-merges into its phase breakdown.
+  std::vector<GroupSnap> groups;
+  /// Latency-pool sample counts per (group-major) node; adjacent snapshots
+  /// delimit the samples each window range-merges into its phase breakdown.
   std::vector<stats::ProtocolStats::PoolCounts> pools;
 };
+
+/// Adds groups [lo, hi)'s activity between two boundary snapshots to `w`:
+/// counter, message and byte deltas plus the range-merged latency pools of
+/// their nodes (`n` per group).
+void add_window_deltas(stats::MetricsWindow& w, const BoundarySnap& from,
+                       const BoundarySnap& to, std::uint32_t lo,
+                       std::uint32_t hi, std::size_t n,
+                       const std::vector<stats::ProtocolStats>& per_node) {
+  for (std::uint32_t g = lo; g < hi; ++g) {
+    w.proto += to.groups[g].proto - from.groups[g].proto;
+    w.messages += to.groups[g].messages - from.groups[g].messages;
+    w.bytes += to.groups[g].bytes - from.groups[g].bytes;
+  }
+  for (std::size_t node = lo * n; node < hi * n; ++node) {
+    const auto& f = from.pools[node];
+    const auto& t = to.pools[node];
+    const stats::ProtocolStats& ps = per_node[node];
+    w.wait_time.merge_range(ps.wait_time, f.wait, t.wait);
+    w.propose_phase.merge_range(ps.propose_phase, f.propose, t.propose);
+    w.retry_phase.merge_range(ps.retry_phase, f.retry, t.retry);
+    w.deliver_phase.merge_range(ps.deliver_phase, f.deliver, t.deliver);
+  }
+}
 
 }  // namespace
 
 RunReport run_scenario(const Scenario& s) {
   validate_scenario(s);
-  if (s.shards.sharded()) return shard::run_sharded_scenario(s);
 
   const std::size_t n = s.topology.size();
+  const std::uint32_t groups = s.shards.count;
+  const bool sharded = groups > 1;
   sim::Simulator sim(s.seed);
 
   RunReport result;
-  result.per_node.resize(n);
+  // Per-node protocol stats, group-major: group g's node i lands at g*n + i.
+  result.per_node.resize(groups * n);
   result.timeline = stats::TimeSeries(s.timeline_bucket);
   result.sites.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -791,14 +820,26 @@ RunReport run_scenario(const Scenario& s) {
   result.provenance.warmup = s.warmup;
   result.provenance.build = std::string(build_version());
   result.windows = plan_windows(s);
-
-  std::vector<rsm::KvStore> kvs(n);
-  std::shared_ptr<OrderChecker> order;
-  if (s.check_consistency) {
-    order = std::make_shared<OrderChecker>(n, s.storage.enabled());
+  if (sharded) {
+    result.router.partition = std::string(to_string(s.shards.partition));
+    result.router.multi_key = std::string(to_string(s.shards.multi_key));
+    result.shards.resize(groups);
+    for (std::uint32_t g = 0; g < groups; ++g) {
+      result.shards[g].group = g;
+      result.shards[g].windows = result.windows;  // same slicing per group
+    }
   }
 
-  wl::ClientPool* pool_ptr = nullptr;
+  // Harness-side checker and store mirrors of each group's replica state.
+  std::vector<std::shared_ptr<OrderChecker>> orders(groups);
+  if (s.check_consistency) {
+    for (auto& order : orders) {
+      order = std::make_shared<OrderChecker>(n, s.storage.enabled());
+    }
+  }
+  std::vector<std::vector<rsm::KvStore>> kvs(groups,
+                                             std::vector<rsm::KvStore>(n));
+
   rt::ClusterConfig ccfg;
   ccfg.node = s.node;
   ccfg.fd_timeout_us = s.fd_timeout_us;
@@ -811,92 +852,162 @@ RunReport run_scenario(const Scenario& s) {
     std::filesystem::create_directories(s.storage.data_dir);
   }
 
-  rt::Cluster cluster(
-      sim, s.topology, ccfg, make_factory(s, result.per_node),
-      [&](NodeId node, const rsm::Command& cmd) {
-        if (order) order->deliver(node, cmd, sim.now());
-        kvs[node].apply(cmd);
-        if (pool_ptr != nullptr) pool_ptr->on_delivery(node, cmd);
+  // Set once the frontend and the pool exist (the router only with more
+  // than one group).
+  shard::ShardRouter* router = nullptr;
+  wl::ClientPool* pool_ptr = nullptr;
+  // The delivering group, set before each pool upcall so the completion
+  // hook (which only fires inside one) can attribute it to its group.
+  std::uint32_t completing_group = 0;
+
+  shard::ShardedCluster cluster(
+      sim, s.topology, ccfg, groups,
+      [&s, &result, n](std::uint32_t g) {
+        return make_factory(s, result.per_node, g * n);
+      },
+      [&](std::uint32_t g, NodeId node, const rsm::Command& cmd) {
+        if (orders[g]) orders[g]->deliver(node, cmd, sim.now());
+        kvs[g][node].apply(cmd);
+        if (router != nullptr) router->on_delivery(g, node, cmd);
+        if (pool_ptr != nullptr) {
+          completing_group = g;
+          pool_ptr->on_delivery(node, cmd);
+        }
       });
-  if (order && s.storage.enabled()) {
-    cluster.set_instance_hook([&](NodeId node) {
-      order->end_instance(
-          node, cluster.node(node).durability()->durable_delivered_count());
+  if (s.check_consistency && s.storage.enabled()) {
+    cluster.set_instance_hook([&](std::uint32_t g, NodeId node) {
+      orders[g]->end_instance(node, cluster.group(g)
+                                        .node(node)
+                                        .durability()
+                                        ->durable_delivered_count());
     });
   }
 
-  wl::ClientPool pool(sim, cluster, s.workload, sim.rng().fork(), s.phases,
+  // One group submits straight to the site's replica; several go through
+  // the router, which picks the owning group and fails over around
+  // group-scoped crashes.
+  std::unique_ptr<wl::Frontend> front;
+  if (sharded) {
+    auto r = std::make_unique<shard::ShardRouter>(cluster,
+                                                  shard::ShardMap(s.shards));
+    router = r.get();
+    front = std::move(r);
+  } else {
+    front = std::make_unique<wl::ClusterFrontend>(cluster.group(0));
+  }
+  wl::ClientPool pool(sim, *front, s.workload, sim.rng().fork(), s.phases,
                       s.duration);
   pool_ptr = &pool;
+  if (router != nullptr) {
+    router->set_loss_hook([&pool](ReqId req) { pool.on_request_lost(req); });
+  }
 
-  // Keep the checker and the store mirrors honest across durability events:
-  // a restart rolls a node's history back to its durable prefix, and a
-  // catch-up snapshot install replaces its store wholesale mid-run.
-  cluster.set_restart_hook([&](NodeId node,
+  // Keep the checkers and the store mirrors honest across durability
+  // events: a restart rolls a node's history back to its durable prefix,
+  // and a catch-up snapshot install replaces its store wholesale mid-run.
+  cluster.set_restart_hook([&](std::uint32_t g, NodeId node,
                                const caesar::storage::RecoveredState& st) {
-    if (order) order->restart(node, st.delivered_count, st.trimmed);
-    kvs[node] = st.store;
+    if (orders[g]) orders[g]->restart(node, st.delivered_count, st.trimmed);
+    kvs[g][node] = st.store;
   });
   cluster.set_snapshot_install_hook(
-      [&](NodeId node, const rsm::KvStore& store, std::uint64_t delivered) {
-        if (order) order->rebase(node, delivered);
-        kvs[node] = store;
+      [&](std::uint32_t g, NodeId node, const rsm::KvStore& store,
+          std::uint64_t delivered) {
+        if (orders[g]) orders[g]->rebase(node, delivered);
+        kvs[g][node] = store;
       });
+
   // Window assignment is by completion instant: windows are half-open
   // [begin, end) slices in time order and completions arrive in time order,
   // so a single advancing index suffices; completions at exactly t=duration
-  // clamp into the last window.
+  // clamp into the last window. Each group's cursor advances on its own
+  // completions only.
   std::size_t widx = 0;
+  std::vector<std::size_t> group_widx(groups, 0);
+  auto record_in_window = [](std::vector<stats::MetricsWindow>& ws,
+                             std::size_t& wi, Time at, Time latency) {
+    while (wi + 1 < ws.size() && at >= ws[wi].end) ++wi;
+    ws[wi].latency.record(latency);
+  };
   pool.set_completion_hook([&](const wl::Completion& c) {
     result.timeline.record(c.complete_time);
+    ShardMetrics* sm = sharded ? &result.shards[completing_group] : nullptr;
+    if (sm != nullptr) ++sm->completed;
     if (c.complete_time < s.warmup) return;
     const Time latency = c.complete_time - c.submit_time;
     result.total_latency.record(latency);
     result.sites[c.site].latency.record(latency);
-    while (widx + 1 < result.windows.size() &&
-           c.complete_time >= result.windows[widx].end) {
-      ++widx;
+    record_in_window(result.windows, widx, c.complete_time, latency);
+    if (sm != nullptr) {
+      sm->latency.record(latency);
+      record_in_window(sm->windows, group_widx[completing_group],
+                       c.complete_time, latency);
     }
-    result.windows[widx].latency.record(latency);
   });
 
   cluster.start();
   pool.start();
 
-  // Fault schedule: each event fires at its instant, in timeline order.
+  // Fault schedule: each event fires at its instant, in timeline order. A
+  // group-scoped fault touches that group's replica only (the router fails
+  // its traffic over); the pool hears of a site's crash once the fault
+  // leaves it crashed in every group, and of its recovery when it was
+  // crashed in every group before. An all-groups crash, recover or restart
+  // tells the pool unconditionally, a power loss once per site it takes
+  // down.
   for (const FaultEvent& e : s.faults) {
-    sim.at(e.at, [&cluster, &pool, e] {
+    sim.at(e.at, [&cluster, &pool, router, e, groups, n] {
+      const bool whole_site = e.group == FaultEvent::kAllGroups;
+      const std::uint32_t lo =
+          whole_site ? 0 : static_cast<std::uint32_t>(e.group);
+      const std::uint32_t hi = whole_site ? groups : lo + 1;
       switch (e.kind) {
         case FaultEvent::Kind::kCrash:
-          cluster.crash(e.node);
-          pool.on_node_crashed(e.node);
-          break;
-        case FaultEvent::Kind::kRecover:
-          cluster.recover(e.node);
-          pool.on_node_recovered(e.node);
-          break;
-        case FaultEvent::Kind::kPartition:
-          cluster.set_link(e.a, e.b, false);
-          break;
-        case FaultEvent::Kind::kHeal:
-          cluster.set_link(e.a, e.b, true);
-          break;
-        case FaultEvent::Kind::kPowerLoss:
-          for (NodeId i = 0; i < cluster.size(); ++i) {
-            if (cluster.node(i).crashed()) continue;
-            cluster.crash(i);
-            pool.on_node_crashed(i);
+          cluster.crash(e.group, e.node);
+          if (router != nullptr) {
+            for (std::uint32_t g = lo; g < hi; ++g) {
+              router->on_group_node_crashed(g, e.node);
+            }
+          }
+          if (whole_site || cluster.site_fully_crashed(e.node)) {
+            pool.on_node_crashed(e.node);
           }
           break;
-        case FaultEvent::Kind::kRestart:
-          cluster.restart(e.node);
-          pool.on_node_recovered(e.node);
+        case FaultEvent::Kind::kRecover:
+        case FaultEvent::Kind::kRestart: {
+          const bool was_down =
+              whole_site || cluster.site_fully_crashed(e.node);
+          if (e.kind == FaultEvent::Kind::kRecover) {
+            cluster.recover(e.group, e.node);
+          } else {
+            cluster.restart(e.group, e.node);
+          }
+          if (was_down) pool.on_node_recovered(e.node);
+          break;
+        }
+        case FaultEvent::Kind::kPartition:
+          cluster.set_link(e.group, e.a, e.b, false);
+          break;
+        case FaultEvent::Kind::kHeal:
+          cluster.set_link(e.group, e.a, e.b, true);
+          break;
+        case FaultEvent::Kind::kPowerLoss:
+          for (NodeId i = 0; i < n; ++i) {
+            bool went_down = false;
+            for (std::uint32_t g = 0; g < groups; ++g) {
+              if (cluster.group(g).node(i).crashed()) continue;
+              cluster.group(g).crash(i);
+              if (router != nullptr) router->on_group_node_crashed(g, i);
+              went_down = true;
+            }
+            if (went_down) pool.on_node_crashed(i);
+          }
           break;
       }
     });
   }
 
-  // Mid-run protocol-counter snapshots.
+  // Mid-run protocol-counter snapshots (aggregated over all groups).
   result.samples.reserve(s.sample_stats_at.size());
   for (Time t : s.sample_stats_at) {
     sim.at(t, [&result, &pool, t] {
@@ -910,11 +1021,16 @@ RunReport run_scenario(const Scenario& s) {
   // they execute ahead of activity scheduled later, matching the half-open
   // window rule — and the final boundary is read after the run.
   std::vector<BoundarySnap> snaps(result.windows.size() + 1);
-  auto capture = [&result, &pool, &cluster](BoundarySnap& snap) {
-    snap.proto = aggregate_counters(result.per_node);
+  auto capture = [&](BoundarySnap& snap) {
     snap.submitted = pool.submitted();
-    snap.messages = cluster.network().messages_delivered();
-    snap.bytes = cluster.network().bytes_sent();
+    snap.groups.resize(groups);
+    for (std::uint32_t g = 0; g < groups; ++g) {
+      GroupSnap& gs = snap.groups[g];
+      gs.proto = aggregate_counters(result.per_node, g * n, n);
+      gs.routed = router != nullptr ? router->stats().routed[g] : 0;
+      gs.messages = cluster.group(g).network().messages_delivered();
+      gs.bytes = cluster.group(g).network().bytes_sent();
+    }
     snap.pools.resize(result.per_node.size());
     for (std::size_t i = 0; i < result.per_node.size(); ++i) {
       snap.pools[i] = result.per_node[i].pool_counts();
@@ -928,19 +1044,16 @@ RunReport run_scenario(const Scenario& s) {
   capture(snaps.back());
 
   for (std::size_t i = 0; i < result.windows.size(); ++i) {
+    const BoundarySnap& from = snaps[i];
+    const BoundarySnap& to = snaps[i + 1];
     stats::MetricsWindow& w = result.windows[i];
-    w.submitted = snaps[i + 1].submitted - snaps[i].submitted;
-    w.messages = snaps[i + 1].messages - snaps[i].messages;
-    w.bytes = snaps[i + 1].bytes - snaps[i].bytes;
-    w.proto = snaps[i + 1].proto - snaps[i].proto;
-    for (std::size_t node = 0; node < n; ++node) {
-      const auto& from = snaps[i].pools[node];
-      const auto& to = snaps[i + 1].pools[node];
-      const stats::ProtocolStats& ps = result.per_node[node];
-      w.wait_time.merge_range(ps.wait_time, from.wait, to.wait);
-      w.propose_phase.merge_range(ps.propose_phase, from.propose, to.propose);
-      w.retry_phase.merge_range(ps.retry_phase, from.retry, to.retry);
-      w.deliver_phase.merge_range(ps.deliver_phase, from.deliver, to.deliver);
+    w.submitted = to.submitted - from.submitted;
+    add_window_deltas(w, from, to, 0, groups, n, result.per_node);
+    for (std::uint32_t g = 0; sharded && g < groups; ++g) {
+      // A group window's "submitted" is what the router sent into it.
+      stats::MetricsWindow& gw = result.shards[g].windows[i];
+      gw.submitted = to.groups[g].routed - from.groups[g].routed;
+      add_window_deltas(gw, from, to, g, g + 1, n, result.per_node);
     }
   }
 
@@ -948,32 +1061,58 @@ RunReport run_scenario(const Scenario& s) {
   result.submitted = pool.submitted();
   const double window_s =
       static_cast<double>(s.duration - s.warmup) / static_cast<double>(kSec);
-  result.throughput_tps =
-      window_s > 0 ? static_cast<double>(result.total_latency.count()) / window_s
-                   : 0.0;
+  auto per_second = [window_s](std::uint64_t count) {
+    return window_s > 0 ? static_cast<double>(count) / window_s : 0.0;
+  };
+  result.throughput_tps = per_second(result.total_latency.count());
   result.proto = aggregate(result.per_node);
-
-  if (order) {
-    // Hand the final replica state to the caller: the oracle reads the
-    // checker and the stores, plus which nodes were still down when the run
-    // ended (a crashed-forever node legitimately trails the cluster).
-    result.crashed_at_end.resize(n);
-    for (NodeId i = 0; i < n; ++i) {
-      result.crashed_at_end[i] = cluster.node(i).crashed();
-    }
-    result.consistent = order->verdict(result.crashed_at_end, false).ok;
-    result.order = std::move(order);
-    result.stores = std::move(kvs);
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    result.messages += cluster.group(g).network().messages_delivered();
+    result.bytes += cluster.group(g).network().bytes_sent();
   }
-
-  result.messages = cluster.network().messages_delivered();
-  result.bytes = cluster.network().bytes_sent();
   result.fd_suspicions = cluster.fd_suspicions();
   result.fd_retractions = cluster.fd_retractions();
   result.flow_control.enabled = pool.flow_control_enabled();
   result.flow_control.admitted = pool.flow_admitted();
   result.flow_control.deferred = pool.flow_deferred();
   result.flow_control.shed = pool.flow_shed();
+
+  // Hand each group's final replica state to the caller: the oracle reads
+  // the checker and the stores, plus which nodes were still down when the
+  // run ended (a crashed-forever node legitimately trails the cluster).
+  // A single group keeps it at the top level, several keep it per group.
+  auto keep_final_state = [&](auto& dst, std::uint32_t g) {
+    dst.crashed_at_end.resize(n);
+    for (NodeId i = 0; i < n; ++i) {
+      dst.crashed_at_end[i] = cluster.group(g).node(i).crashed();
+    }
+    dst.consistent = orders[g]->verdict(dst.crashed_at_end, false).ok;
+    dst.order = std::move(orders[g]);
+    dst.stores = std::move(kvs[g]);
+  };
+  if (!sharded) {
+    if (s.check_consistency) keep_final_state(result, 0);
+    return result;
+  }
+
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    ShardMetrics& sm = result.shards[g];
+    rt::Cluster& group = cluster.group(g);
+    sm.routed = router->stats().routed[g];
+    sm.throughput_tps = per_second(sm.latency.count());
+    sm.messages = group.network().messages_delivered();
+    sm.bytes = group.network().bytes_sent();
+    sm.proto = aggregate(result.per_node, g * n, n);
+    sm.fd_suspicions = group.fd_suspicions();
+    sm.fd_retractions = group.fd_retractions();
+    if (s.check_consistency) {
+      keep_final_state(sm, g);
+      result.consistent = result.consistent && sm.consistent;
+    }
+  }
+  result.router.cross_shard_pins = router->stats().cross_shard_pins;
+  result.router.cross_shard_rejects = router->stats().cross_shard_rejects;
+  result.router.reroutes = router->stats().reroutes;
   return result;
 }
 

@@ -1,4 +1,4 @@
-// Scenario API: the composable successor to the monolithic ExperimentConfig.
+// Scenario API.
 //
 // A Scenario is (1) a protocol + topology + node/runtime knobs, (2) an
 // ordered *fault schedule* — crashes, recoveries, link partitions and heals
@@ -69,11 +69,12 @@ struct FaultEvent {
   /// Partition/Heal link endpoints.
   NodeId a = kNoNode;
   NodeId b = kNoNode;
-  /// Sharded runs: which consensus group the fault hits. kAllGroups (the
-  /// default, and the only valid value for unsharded scenarios) applies the
-  /// fault to every group at once — the whole machine at that site fails;
-  /// a specific group models an asymmetric fault that leaves the site's
-  /// other group replicas running.
+  /// Which consensus group the fault hits. kAllGroups (the default)
+  /// applies the fault to every group at once — the whole machine at that
+  /// site fails; a specific group in [0, shards.count) models an asymmetric
+  /// fault that leaves the site's other group replicas running. Group 0 of
+  /// an unsharded scenario is its only group, i.e. the whole site. Clients
+  /// reconnect elsewhere once a site is crashed in every group.
   static constexpr std::int32_t kAllGroups = -1;
   std::int32_t group = kAllGroups;
 
@@ -99,8 +100,9 @@ struct Scenario {
   /// built from `workload`.
   std::vector<wl::PhaseSpec> phases;
   /// Keyspace sharding across independent consensus groups. count == 1 (the
-  /// default) runs the classic single-group path unchanged; count > 1 routes
-  /// through shard::ShardRouter and the report carries per-group rollups.
+  /// default) is the classic single group, whose clients submit straight to
+  /// their site's replica; count > 1 routes through shard::ShardRouter and
+  /// the report carries per-group rollups.
   shard::ShardSpec shards;
   /// Fault timeline; executed in time order during the run.
   std::vector<FaultEvent> faults;
@@ -264,20 +266,21 @@ class ScenarioBuilder {
 /// std::invalid_argument with a precise message on the first violation.
 void validate_scenario(const Scenario& s);
 
-/// Runs one scenario to completion. Deterministic in s.seed. Validates
-/// first (see validate_scenario). The report carries per-window metrics
+/// Runs one scenario to completion over its shards.count consensus groups
+/// (one for a classic scenario). Deterministic in s.seed. Validates first
+/// (see validate_scenario). The report carries per-window metrics
 /// (per-phase, or fixed-width via Scenario::metrics_window_us) and run
-/// provenance besides the run-wide aggregates. A scenario with
-/// shards.count > 1 dispatches to the sharded runner automatically.
+/// provenance besides the run-wide aggregates; with more than one group it
+/// also carries per-group rollups and router counters.
 RunReport run_scenario(const Scenario& s);
 
-/// Internals shared between the single-group runner and the sharded one
-/// (shard/sharded_scenario.cpp). Not a stable API.
+/// Internals of run_scenario, shared with instrumented drivers. Not a
+/// stable API.
 namespace detail {
 
 /// Protocol factory for one consensus group; each node's counters land in
-/// stats[offset + node] (the sharded runner packs per-node stats group-major
-/// into one flat vector).
+/// stats[offset + node] (run_scenario packs per-node stats group-major into
+/// one flat vector).
 rt::Cluster::ProtocolFactory make_factory(const Scenario& s,
                                           std::vector<stats::ProtocolStats>& stats,
                                           std::size_t offset = 0);
@@ -288,8 +291,8 @@ rt::Cluster::ProtocolFactory make_factory(const Scenario& s,
 std::vector<stats::MetricsWindow> plan_windows(const Scenario& s);
 
 /// Sums protocol stats/counters over per_node[offset, offset+count); count
-/// == SIZE_MAX sums to the end (the sharded runner aggregates one group's
-/// slice of the group-major vector).
+/// == SIZE_MAX sums to the end (a group's totals are its slice of the
+/// group-major vector).
 stats::ProtocolStats aggregate(const std::vector<stats::ProtocolStats>& per_node,
                                std::size_t offset = 0,
                                std::size_t count = SIZE_MAX);

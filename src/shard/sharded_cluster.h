@@ -4,8 +4,9 @@
 // detector and (when enabled) durable storage under
 // <data_dir>/group-<g>/node-<id>/ — so node ids are group-scoped and
 // FD/partition state never leaks across groups. All groups share the same
-// sim::Simulator, which keeps a sharded run a pure function of its seed
-// exactly like a single-group run.
+// sim::Simulator, which keeps a sharded run a pure function of its seed.
+// One group is the classic unsharded cluster (harness::run_scenario always
+// runs through this class); its storage stays at <data_dir>/node-<id>/.
 //
 // Fault application takes a signed group index: a negative group targets
 // every group at once (a whole-site fault, e.g. the machine hosting all of a
@@ -40,7 +41,8 @@ class ShardedCluster {
   using GroupInstanceHook = std::function<void(std::uint32_t group, NodeId)>;
 
   /// Every group gets the same topology and config; with durable storage
-  /// enabled, each group's data lives under its own group-<g> subdirectory.
+  /// enabled and more than one group, each group's data lives under its own
+  /// group-<g> subdirectory.
   ShardedCluster(sim::Simulator& sim, const net::Topology& topo,
                  const rt::ClusterConfig& cfg, std::uint32_t groups,
                  const GroupFactory& factory, GroupDeliverHook on_deliver);

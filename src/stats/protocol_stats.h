@@ -1,10 +1,13 @@
 // Counters every protocol implementation exports so the harness can report
 // fast/slow path ratios (paper Fig 10) and CAESAR's phase breakdown and wait
-// times (paper Fig 11). ProtocolCounters is the plain-counter snapshot the
-// metrics windows subtract to get per-window deltas.
+// times (paper Fig 11). ProtocolStats is ProtocolCounters plus latency pools;
+// the plain counters are the snapshot the metrics windows subtract to get
+// per-window deltas.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <string_view>
 
 #include "common/types.h"
 #include "stats/latency_stats.h"
@@ -16,12 +19,13 @@ namespace caesar::stats {
 /// inside the window, so fast-path fractions can be read per phase without
 /// hand-placed sample points.
 struct ProtocolCounters {
+  // Decision paths, counted once per command at its leader.
   std::uint64_t fast_decisions = 0;
   std::uint64_t slow_decisions = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t slow_proposals = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t waits = 0;
+  std::uint64_t retries = 0;         // retry phases executed
+  std::uint64_t slow_proposals = 0;  // CAESAR slow-proposal phases
+  std::uint64_t recoveries = 0;      // recovery procedures started
+  std::uint64_t waits = 0;           // CAESAR wait-condition parks (Fig 11b)
   // State transfer & dead-node revocation (rejoin/catch-up subsystem).
   std::uint64_t catchup_requests = 0;  // requests sent by lagging nodes
   std::uint64_t catchup_chunks = 0;    // reply chunks served by live peers
@@ -45,42 +49,41 @@ struct ProtocolCounters {
     return decisions() == 0 ? 0.0 : 1.0 - slow_path_fraction();
   }
 
+  /// One counter: its JSON name and its member.
+  struct Field {
+    std::string_view name;
+    std::uint64_t ProtocolCounters::*member;
+  };
+  /// Every counter in declaration order — also the JSON order. The one list
+  /// +=, - and the report emitters iterate; a new counter is a member plus
+  /// one entry here (the static_assert below catches a missing entry).
+  static constexpr std::array<Field, 14> fields() {
+    return {{{"fast_decisions", &ProtocolCounters::fast_decisions},
+             {"slow_decisions", &ProtocolCounters::slow_decisions},
+             {"retries", &ProtocolCounters::retries},
+             {"slow_proposals", &ProtocolCounters::slow_proposals},
+             {"recoveries", &ProtocolCounters::recoveries},
+             {"waits", &ProtocolCounters::waits},
+             {"catchup_requests", &ProtocolCounters::catchup_requests},
+             {"catchup_chunks", &ProtocolCounters::catchup_chunks},
+             {"catchup_commands", &ProtocolCounters::catchup_commands},
+             {"revocations", &ProtocolCounters::revocations},
+             {"wal_appends", &ProtocolCounters::wal_appends},
+             {"fsyncs", &ProtocolCounters::fsyncs},
+             {"snapshots", &ProtocolCounters::snapshots},
+             {"truncated_segments", &ProtocolCounters::truncated_segments}}};
+  }
+
   ProtocolCounters& operator+=(const ProtocolCounters& o) {
-    fast_decisions += o.fast_decisions;
-    slow_decisions += o.slow_decisions;
-    retries += o.retries;
-    slow_proposals += o.slow_proposals;
-    recoveries += o.recoveries;
-    waits += o.waits;
-    catchup_requests += o.catchup_requests;
-    catchup_chunks += o.catchup_chunks;
-    catchup_commands += o.catchup_commands;
-    revocations += o.revocations;
-    wal_appends += o.wal_appends;
-    fsyncs += o.fsyncs;
-    snapshots += o.snapshots;
-    truncated_segments += o.truncated_segments;
+    for (const Field& f : fields()) this->*f.member += o.*f.member;
     return *this;
   }
 
   /// Counter delta; counters are monotone, so per-field subtraction of an
   /// earlier snapshot is well-defined.
   ProtocolCounters operator-(const ProtocolCounters& earlier) const {
-    ProtocolCounters d;
-    d.fast_decisions = fast_decisions - earlier.fast_decisions;
-    d.slow_decisions = slow_decisions - earlier.slow_decisions;
-    d.retries = retries - earlier.retries;
-    d.slow_proposals = slow_proposals - earlier.slow_proposals;
-    d.recoveries = recoveries - earlier.recoveries;
-    d.waits = waits - earlier.waits;
-    d.catchup_requests = catchup_requests - earlier.catchup_requests;
-    d.catchup_chunks = catchup_chunks - earlier.catchup_chunks;
-    d.catchup_commands = catchup_commands - earlier.catchup_commands;
-    d.revocations = revocations - earlier.revocations;
-    d.wal_appends = wal_appends - earlier.wal_appends;
-    d.fsyncs = fsyncs - earlier.fsyncs;
-    d.snapshots = snapshots - earlier.snapshots;
-    d.truncated_segments = truncated_segments - earlier.truncated_segments;
+    ProtocolCounters d = *this;
+    for (const Field& f : fields()) d.*f.member -= earlier.*f.member;
     return d;
   }
 
@@ -88,29 +91,14 @@ struct ProtocolCounters {
                          const ProtocolCounters&) = default;
 };
 
-struct ProtocolStats {
-  // Decision paths, counted once per command at its leader.
-  std::uint64_t fast_decisions = 0;
-  std::uint64_t slow_decisions = 0;
-  std::uint64_t retries = 0;            // retry phases executed
-  std::uint64_t slow_proposals = 0;     // CAESAR slow-proposal phases
-  std::uint64_t recoveries = 0;         // recovery procedures started
+static_assert(sizeof(ProtocolCounters) ==
+                  ProtocolCounters::fields().size() * sizeof(std::uint64_t),
+              "every ProtocolCounters member needs an entry in fields()");
 
-  // Rejoin state transfer & dead-node revocation (see rsm/log_snapshot.h).
-  std::uint64_t catchup_requests = 0;
-  std::uint64_t catchup_chunks = 0;
-  std::uint64_t catchup_commands = 0;
-  std::uint64_t revocations = 0;
-
-  // Durable storage activity (storage/durability.h), zero with storage off.
-  std::uint64_t wal_appends = 0;
-  std::uint64_t fsyncs = 0;
-  std::uint64_t snapshots = 0;
-  std::uint64_t truncated_segments = 0;
-
+/// One node's counters plus its latency pools.
+struct ProtocolStats : ProtocolCounters {
   // CAESAR wait condition (Fig 11b): time proposals spend parked.
   LatencyStats wait_time;
-  std::uint64_t waits = 0;
 
   // Phase latency breakdown at the leader (Fig 11a).
   LatencyStats propose_phase;   // propose sent -> outcome known
@@ -133,26 +121,7 @@ struct ProtocolStats {
   }
 
   /// Snapshot of the plain counters (no latency pools) for window deltas.
-  ProtocolCounters counters() const {
-    ProtocolCounters c;
-    c.fast_decisions = fast_decisions;
-    c.slow_decisions = slow_decisions;
-    c.retries = retries;
-    c.slow_proposals = slow_proposals;
-    c.recoveries = recoveries;
-    c.waits = waits;
-    c.catchup_requests = catchup_requests;
-    c.catchup_chunks = catchup_chunks;
-    c.catchup_commands = catchup_commands;
-    c.revocations = revocations;
-    c.wal_appends = wal_appends;
-    c.fsyncs = fsyncs;
-    c.snapshots = snapshots;
-    c.truncated_segments = truncated_segments;
-    return c;
-  }
-
-  double slow_path_fraction() const { return counters().slow_path_fraction(); }
+  ProtocolCounters counters() const { return *this; }
 };
 
 }  // namespace caesar::stats

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <functional>
 #include <stdexcept>
+#include <string>
 
-#include "harness/experiment.h"
 #include "harness/oracle.h"
+#include "harness/scenario_file.h"
 
 namespace caesar::harness {
 namespace {
@@ -43,11 +47,11 @@ TEST(ScenarioBuilderTest, ForkingVariantsFromCommonPrefix) {
 
 TEST(ScenarioValidationTest, RejectsOutOfRangeMultiPaxosLeader) {
   // The old harness silently indexed out of range here; now it fails fast.
-  ExperimentConfig cfg;
-  cfg.protocol = ProtocolKind::kMultiPaxos;
-  cfg.topology = net::Topology::lan(3);
-  cfg.multipaxos.leader = 3;  // only sites 0..2 exist
-  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+  Scenario s;
+  s.protocol = ProtocolKind::kMultiPaxos;
+  s.topology = net::Topology::lan(3);
+  s.multipaxos.leader = 3;  // only sites 0..2 exist
+  EXPECT_THROW(run_scenario(s), std::invalid_argument);
 
   EXPECT_THROW(ScenarioBuilder("t")
                    .protocol(ProtocolKind::kMultiPaxos)
@@ -58,14 +62,14 @@ TEST(ScenarioValidationTest, RejectsOutOfRangeMultiPaxosLeader) {
 }
 
 TEST(ScenarioValidationTest, AcceptsInRangeMultiPaxosLeaderOnSmallTopology) {
-  ExperimentConfig cfg;
-  cfg.protocol = ProtocolKind::kMultiPaxos;
-  cfg.topology = net::Topology::lan(3);
-  cfg.multipaxos.leader = 0;
-  cfg.workload.clients_per_site = 2;
-  cfg.duration = 2 * kSec;
-  cfg.warmup = 0;
-  ExperimentResult r = run_experiment(cfg);
+  RunReport r = run_scenario(ScenarioBuilder("t")
+                                 .protocol(ProtocolKind::kMultiPaxos)
+                                 .topology(net::Topology::lan(3))
+                                 .multipaxos_leader(0)
+                                 .clients_per_site(2)
+                                 .duration(2 * kSec)
+                                 .warmup(0)
+                                 .build());
   EXPECT_GT(r.completed, 0u);
   EXPECT_TRUE(r.consistent);
 }
@@ -114,6 +118,66 @@ TEST(ScenarioValidationTest, RejectsMalformedScenarios) {
                std::invalid_argument);
 }
 
+// Restart and power loss rebuild nodes through Protocol::on_restore; a
+// protocol without it would come back empty and silently drop acknowledged
+// commands, so validation rejects the combination on every entry path: the
+// builder, a registry entry with the protocol overridden (consensus_cli
+// --protocol=), and a JSON scenario file.
+class RestartValidationTest : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(RestartValidationTest, RestartAndPowerLossNeedOnRestore) {
+  const ProtocolKind p = GetParam();
+  const bool restores = p == ProtocolKind::kMencius ||
+                        p == ProtocolKind::kMultiPaxos ||
+                        p == ProtocolKind::kClockRsm;
+  const std::string name(to_string(p));
+  std::string lower = name;
+  std::transform(lower.begin(), lower.end(), lower.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+
+  auto check = [&](const char* path, const std::function<Scenario()>& make) {
+    if (restores) {
+      EXPECT_NO_THROW(make()) << name << " via " << path;
+      return;
+    }
+    try {
+      make();
+      ADD_FAILURE() << name << " via " << path
+                    << ": restart without on_restore was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  const ScenarioBuilder base = ScenarioBuilder("restart-validation")
+                                   .protocol(p)
+                                   .data_dir("caesar-data/restart-validation")
+                                   .duration(4 * kSec)
+                                   .warmup(0);
+  check("builder restart", [&] {
+    return ScenarioBuilder(base).crash(1, kSec).restart(1, 2 * kSec).build();
+  });
+  check("builder power_loss",
+        [&] { return ScenarioBuilder(base).power_loss(kSec).build(); });
+  check("registry entry with the protocol overridden", [&] {
+    return ScenarioBuilder(make_scenario("power-loss")).protocol(p).build();
+  });
+  check("JSON scenario file", [&] {
+    return scenario_from_json(
+        R"({"base": "restart-disk", "protocol": ")" + lower + R"("})",
+        "restart-validation.json");
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, RestartValidationTest,
+    ::testing::Values(ProtocolKind::kCaesar, ProtocolKind::kEPaxos,
+                      ProtocolKind::kM2Paxos, ProtocolKind::kMencius,
+                      ProtocolKind::kMultiPaxos, ProtocolKind::kClockRsm),
+    [](const ::testing::TestParamInfo<ProtocolKind>& info) {
+      return std::string(to_string(info.param));
+    });
+
 TEST(ScenarioValidationTest, HandBuiltScenarioPhasesValidateInAnyOrder) {
   // Scenario is a public aggregate: callers may fill phases out of time
   // order without going through the sorting builder.
@@ -123,7 +187,7 @@ TEST(ScenarioValidationTest, HandBuiltScenarioPhasesValidateInAnyOrder) {
   s.workload.clients_per_site = 2;
   s.phases = {wl::PhaseSpec::open_loop(2 * kSec, 200.0),
               wl::PhaseSpec::closed_loop(0, 2)};
-  ExperimentResult r = run_scenario(s);  // must not throw
+  RunReport r = run_scenario(s);  // must not throw
   EXPECT_GT(r.completed, 0u);
 
   // Duplicate instants are rejected even when not adjacent in the vector.
@@ -173,7 +237,7 @@ TEST(ScenarioRegistryTest, UserRegistrationsAreSelectable) {
             .build();
       }});
   ASSERT_TRUE(has_scenario("test-tiny"));
-  ExperimentResult r = run_scenario(make_scenario("test-tiny"));
+  RunReport r = run_scenario(make_scenario("test-tiny"));
   EXPECT_GT(r.completed, 0u);
 }
 
@@ -183,7 +247,7 @@ TEST(ScenarioRegistryTest, UserRegistrationsAreSelectable) {
 
 TEST(ScenarioRunTest, PartitionHealStaysConsistentAndFastPathRecovers) {
   const Scenario s = make_scenario("partition-heal");
-  ExperimentResult r = run_scenario(s);
+  RunReport r = run_scenario(s);
 
   // Delivery consistency across the partition: no two sites may disagree on
   // the per-key delivery order even while the link is cut — and the
@@ -229,8 +293,8 @@ TEST(ScenarioRunTest, PartitionHealStaysConsistentAndFastPathRecovers) {
 
 TEST(ScenarioRunTest, PartitionHealIsDeterministicInSeed) {
   const Scenario s = make_scenario("partition-heal");
-  ExperimentResult a = run_scenario(s);
-  ExperimentResult b = run_scenario(s);
+  RunReport a = run_scenario(s);
+  RunReport b = run_scenario(s);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.submitted, b.submitted);
   EXPECT_EQ(a.messages, b.messages);
@@ -246,7 +310,7 @@ TEST(ScenarioRunTest, PartitionHealWorksForEveryProtocol) {
     Scenario s = make_scenario("partition-heal");
     s.protocol = kind;
     s.workload.clients_per_site = 3;  // keep the matrix cheap
-    ExperimentResult r = run_scenario(s);
+    RunReport r = run_scenario(s);
     EXPECT_TRUE(r.consistent) << to_string(kind);
     EXPECT_GT(r.completed, 100u) << to_string(kind);
     const auto verdict = check_cluster_consistency(
@@ -262,7 +326,7 @@ TEST(ScenarioRunTest, PartitionHealWorksForEveryProtocol) {
 
 TEST(ScenarioRunTest, CrashThenRecoverRestoresThroughput) {
   const Scenario s = make_scenario("crash-recover");
-  ExperimentResult r = run_scenario(s);
+  RunReport r = run_scenario(s);
   EXPECT_TRUE(r.consistent);
   EXPECT_GT(r.completed, 1000u);
 
@@ -288,7 +352,7 @@ TEST(ScenarioRunTest, CrashRecoverResumesDeliveryForEveryProtocol) {
     Scenario s = make_scenario("crash-recover");
     s.protocol = kind;  // node 2 crashes; the MultiPaxos leader (3) does not
     s.sample_stats_at.push_back(10 * kSec);  // well after the 8s recovery
-    ExperimentResult r = run_scenario(s);
+    RunReport r = run_scenario(s);
     EXPECT_TRUE(r.consistent) << to_string(kind);
     ASSERT_EQ(r.samples.size(), 1u) << to_string(kind);
     // Real progress between 10s and the 14s end of the run.
@@ -323,7 +387,7 @@ TEST(ScenarioRunTest, OpenLoopThroughputTracksArrivalRate) {
                    .warmup(2 * kSec)
                    .seed(3)
                    .build();
-  ExperimentResult r = run_scenario(s);
+  RunReport r = run_scenario(s);
   EXPECT_TRUE(r.consistent);
   // Completions per second in the measurement window track the configured
   // Poisson arrival rate (the system is far from saturation here).
@@ -331,7 +395,7 @@ TEST(ScenarioRunTest, OpenLoopThroughputTracksArrivalRate) {
 }
 
 TEST(ScenarioRunTest, RateSweepStepsThroughputPerPhase) {
-  ExperimentResult r = run_scenario(make_scenario("rate-sweep"));
+  RunReport r = run_scenario(make_scenario("rate-sweep"));
   EXPECT_TRUE(r.consistent);
   const auto second = [&](double s_) {
     return r.timeline.rate_at(static_cast<std::size_t>(s_ * 2));
@@ -344,34 +408,11 @@ TEST(ScenarioRunTest, RateSweepStepsThroughputPerPhase) {
 
 TEST(ScenarioRunTest, OpenLoopIsDeterministicInSeed) {
   const Scenario s = make_scenario("rate-sweep");
-  ExperimentResult a = run_scenario(s);
-  ExperimentResult b = run_scenario(s);
+  RunReport a = run_scenario(s);
+  RunReport b = run_scenario(s);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.submitted, b.submitted);
   EXPECT_DOUBLE_EQ(a.total_latency.mean(), b.total_latency.mean());
-}
-
-// ---------------------------------------------------------------------------
-// Compatibility shim
-// ---------------------------------------------------------------------------
-
-TEST(ExperimentShimTest, MatchesDirectScenarioRun) {
-  ExperimentConfig cfg;
-  cfg.workload.clients_per_site = 4;
-  cfg.workload.conflict_fraction = 0.2;
-  cfg.duration = 4 * kSec;
-  cfg.warmup = 1 * kSec;
-  cfg.seed = 21;
-  cfg.crash_node = 1;
-  cfg.crash_at = 2 * kSec;
-  ExperimentResult via_shim = run_experiment(cfg);
-  ExperimentResult via_scenario = run_scenario(to_scenario(cfg));
-  EXPECT_EQ(via_shim.completed, via_scenario.completed);
-  EXPECT_EQ(via_shim.submitted, via_scenario.submitted);
-  EXPECT_EQ(via_shim.messages, via_scenario.messages);
-  EXPECT_DOUBLE_EQ(via_shim.total_latency.mean(),
-                   via_scenario.total_latency.mean());
-  EXPECT_TRUE(via_shim.consistent);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
-// Sharded scenario runner tests: per-group rollups sum to the run totals,
-// the JSON report carries the router/shards sections (and classic runs do
-// not), same seed reproduces the same bytes, multiple groups outscale one,
-// and asymmetric group-scoped faults leave the other groups running while
-// every group still passes the consistency oracle.
+// Multi-group run tests: per-group rollups sum to the run totals, the JSON
+// report carries the router/shards sections (and one-group runs do not),
+// same seed reproduces the same bytes, multiple groups outscale one,
+// asymmetric group-scoped faults leave the other groups running while every
+// group still passes the consistency oracle, group-scoped crashes covering
+// every group act as a whole-site crash, and storage gets per-group
+// directories only with several groups.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
 #include "harness/oracle.h"
@@ -182,6 +185,40 @@ TEST(ShardedScenarioTest, GroupScopedCrashLeavesOtherGroupRunning) {
   EXPECT_EQ(r.shards[0].fd_suspicions, 0u);
 }
 
+// Group-scoped crashes that together take a site down in every group are a
+// whole-site crash: its clients must reconnect elsewhere exactly as after
+// crash(site), instead of waiting forever on a site with no live replica.
+TEST(ShardedScenarioTest, ScopedCrashesInEveryGroupMoveTheSiteClients) {
+  auto run = [](bool scoped) {
+    ScenarioBuilder b("sharded-site-down");
+    b.protocol(ProtocolKind::kMencius)
+        .topology(net::Topology::lan(5))
+        .clients_per_site(6)
+        .uniform_keys(4096)
+        .shards(2)
+        .metrics_window(1 * kSec)
+        .duration(6 * kSec)
+        .warmup(1 * kSec)
+        .seed(5);
+    if (scoped) {
+      b.crash_in_group(0, 2, 2 * kSec).crash_in_group(1, 2, 2 * kSec);
+    } else {
+      b.crash(2, 2 * kSec);
+    }
+    return run_scenario(b.build());
+  };
+  const RunReport scoped = run(true);
+  const RunReport whole = run(false);
+  EXPECT_EQ(scoped.completed, whole.completed);
+  EXPECT_EQ(scoped.submitted, whole.submitted);
+  ASSERT_EQ(scoped.windows.size(), whole.windows.size());
+  for (std::size_t i = 0; i < whole.windows.size(); ++i) {
+    EXPECT_EQ(scoped.windows[i].completed(), whole.windows[i].completed())
+        << whole.windows[i].label;
+  }
+  EXPECT_TRUE(scoped.consistent);
+}
+
 TEST(ShardedScenarioTest, GroupScopedPartitionHealsConsistently) {
   Scenario s = ScenarioBuilder("sharded-asym-partition")
                    .protocol(ProtocolKind::kMencius)
@@ -208,6 +245,35 @@ TEST(ShardedScenarioTest, GroupScopedPartitionHealsConsistently) {
   const stats::MetricsWindow* mid = window_at(r.shards[1].windows, 3 * kSec);
   ASSERT_NE(mid, nullptr);
   EXPECT_GT(mid->latency.count(), 0u);
+}
+
+// Durable state gets a group-<g>/ level only when there is more than one
+// group; a single group keeps the classic <data_dir>/node-<id>/ layout.
+TEST(ShardedScenarioTest, GroupStorageDirsOnlyWithSeveralGroups) {
+  namespace fs = std::filesystem;
+  auto run = [](std::uint32_t shards, const std::string& dir) {
+    run_scenario(ScenarioBuilder("sharded-storage")
+                     .protocol(ProtocolKind::kMencius)
+                     .topology(net::Topology::lan(3))
+                     .clients_per_site(2)
+                     .uniform_keys(1ull << 10)
+                     .shards(shards)
+                     .data_dir(dir)
+                     .duration(500 * kMs)
+                     .warmup(0)
+                     .build());
+  };
+  const std::string one = "caesar-test-data/sharded-storage-1";
+  const std::string two = "caesar-test-data/sharded-storage-2";
+  run(1, one);
+  run(2, two);
+  EXPECT_TRUE(fs::is_directory(one + "/node-0"));
+  EXPECT_FALSE(fs::exists(one + "/group-0"));
+  EXPECT_TRUE(fs::is_directory(two + "/group-0/node-0"));
+  EXPECT_TRUE(fs::is_directory(two + "/group-1/node-2"));
+  EXPECT_FALSE(fs::exists(two + "/node-0"));
+  fs::remove_all(one);
+  fs::remove_all(two);
 }
 
 TEST(ShardedScenarioTest, ValidationRejectsFaultGroupOutOfRange) {

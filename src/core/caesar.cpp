@@ -10,12 +10,13 @@ namespace caesar::core {
 
 namespace {
 /// CPU accounting: one microsecond of service per this many index entries or
-/// predecessor-set elements touched (calibrated, see DESIGN.md).
+/// predecessor-set elements touched. A fixed cost model for the simulated
+/// CPU, not a measurement of this host.
 constexpr Time kEntriesPerUs = 16;
 
-/// Order-independent accumulator over a set of command ids (iteration order of
-/// the history map is unspecified, so the fold must commute). Used by catch-up
-/// to compare per-origin stable sets without shipping them.
+/// Order-independent accumulator over a set of command ids (iteration order
+/// of the history table is unspecified, so the fold must commute). Used by
+/// catch-up to compare per-origin stable sets without shipping them.
 std::uint64_t mix_id(std::uint64_t h, CmdId id) {
   std::uint64_t x = static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ull;
   x ^= x >> 29;
@@ -79,33 +80,47 @@ void Caesar::on_recover() {
 }
 
 Ballot Caesar::current_ballot(CmdId id) const {
-  auto it = ballots_.find(id);
-  return it == ballots_.end() ? 0 : it->second;
+  const CmdInfo* info = history_.find(id);
+  return info == nullptr ? 0 : info->joined;
 }
 
+// A side record's tuple is still default (kNone, empty pred, zero ts), so
+// these read the record directly.
 Status Caesar::status_of(CmdId id) const {
-  auto it = history_.find(id);
-  return it == history_.end() ? Status::kNone : it->second.status;
+  const CmdInfo* info = history_.find(id);
+  return info == nullptr ? Status::kNone : info->status;
 }
 
 IdSet Caesar::pred_of(CmdId id) const {
-  auto it = history_.find(id);
-  return it == history_.end() ? IdSet{} : it->second.pred;
+  const CmdInfo* info = history_.find(id);
+  return info == nullptr ? IdSet{} : info->pred;
 }
 
 Timestamp Caesar::ts_of(CmdId id) const {
-  auto it = history_.find(id);
-  return it == history_.end() ? Timestamp{} : it->second.ts;
+  const CmdInfo* info = history_.find(id);
+  return info == nullptr ? Timestamp{} : info->ts;
+}
+
+std::size_t Caesar::history_size() const {
+  std::size_t n = 0;
+  for (const auto& [id, info] : history_) {
+    if (info.cmd.id != kNoCmd) ++n;
+  }
+  return n;
 }
 
 // --------------------------------------------------------------------------
 // History / index maintenance
 // --------------------------------------------------------------------------
 
-Caesar::CmdInfo& Caesar::upsert(const rsm::Command& cmd) {
-  auto [it, inserted] = history_.try_emplace(cmd.id);
-  if (inserted || it->second.cmd.ops.empty()) it->second.cmd = cmd;
-  return it->second;
+Caesar::CmdInfo* Caesar::entry(CmdId id) {
+  CmdInfo* info = history_.find(id);
+  return info == nullptr || info->cmd.id == kNoCmd ? nullptr : info;
+}
+
+void Caesar::adopt(CmdInfo& info, const rsm::Command& cmd) {
+  assert(cmd.id != kNoCmd);
+  if (info.cmd.id == kNoCmd || info.cmd.ops.empty()) info.cmd = cmd;
 }
 
 void Caesar::index_erase(const rsm::Command& cmd, const Timestamp& ts) {
@@ -187,9 +202,8 @@ Caesar::ConflictScan Caesar::scan_conflicts(const rsm::Command& cmd,
       ++scanned;
       const CmdId other = it->id;
       if (other == cmd.id) continue;
-      auto hit = history_.find(other);
-      if (hit == history_.end()) continue;
-      const CmdInfo& rival = hit->second;
+      // Indexed ids always have a record in H.
+      const CmdInfo& rival = *history_.find(other);
       if (rival.pred.contains(cmd.id)) continue;  // we precede it; no issue
       if (rival.status == Status::kAccepted || rival.status == Status::kStable) {
         result.reject = true;
@@ -386,7 +400,8 @@ void Caesar::handle_fast_propose(NodeId from, net::Decoder& d) {
   // BallotPre): for ballot 0 every node starts joined; recovery ballots are
   // joined via the RECOVERY message, which FIFO-precedes this proposal.
   if (current_ballot(id) != m.ballot) return;
-  CmdInfo& info = upsert(m.cmd);
+  CmdInfo& info = history_[id];
+  adopt(info, m.cmd);
   if (info.status == Status::kStable) return;
   if (info.status != Status::kNone && info.ballot >= m.ballot) return;  // dup
 
@@ -419,9 +434,10 @@ void Caesar::handle_slow_propose(NodeId from, net::Decoder& d) {
   TimestampedCmdMsg m = TimestampedCmdMsg::decode(d);
   clock_.observe(m.ts);
   const CmdId id = m.cmd.id;
-  if (current_ballot(id) > m.ballot) return;
-  ballots_[id] = m.ballot;
-  CmdInfo& info = upsert(m.cmd);
+  CmdInfo& info = history_[id];
+  if (info.joined > m.ballot) return;
+  info.joined = m.ballot;
+  adopt(info, m.cmd);
   if (info.status == Status::kStable) return;
 
   Parked p;
@@ -443,9 +459,9 @@ void Caesar::handle_slow_propose(NodeId from, net::Decoder& d) {
 }
 
 void Caesar::answer_proposal(const Parked& p) {
-  auto hit = history_.find(p.cmd);
-  if (hit == history_.end()) return;
-  CmdInfo& info = hit->second;
+  CmdInfo* found = entry(p.cmd);
+  if (found == nullptr) return;
+  CmdInfo& info = *found;
   if (info.ballot > p.ballot) return;  // superseded by a recovery
   if (info.status == Status::kStable || info.status == Status::kAccepted) {
     return;  // already past the proposal stage; the reply is moot
@@ -499,7 +515,7 @@ void Caesar::park_proposal(Parked p, std::vector<CmdId>& blockers) {
   const std::uint64_t ticket = next_park_ticket_++;
   p.wait_epoch = 1;
   register_waiters(ticket, p, blockers);
-  parked_tickets_[p.cmd].push_back(ticket);
+  history_.find(p.cmd)->parked_tickets.push_back(ticket);  // adopted by caller
   parked_.emplace(ticket, std::move(p));
   if (stats_ != nullptr) ++stats_->waits;
 }
@@ -509,10 +525,8 @@ void Caesar::release_parked(std::uint64_t ticket, const Parked& p,
   if (record_wait && stats_ != nullptr) {
     stats_->wait_time.record(env_.now() - p.parked_at);
   }
-  auto tit = parked_tickets_.find(p.cmd);
-  if (tit != parked_tickets_.end()) {
-    std::erase(tit->second, ticket);
-    if (tit->second.empty()) parked_tickets_.erase(tit);
+  if (CmdInfo* info = history_.find(p.cmd)) {
+    std::erase(info->parked_tickets, ticket);
   }
   parked_.erase(ticket);
   // Stale park_waiters_ references die lazily on their blocker's wake.
@@ -521,10 +535,9 @@ void Caesar::release_parked(std::uint64_t ticket, const Parked& p,
 void Caesar::wake_dependents(CmdId id) {
   // Proposals parked for `id` itself are moot: its status just advanced past
   // the proposal stage, so the wait can no longer produce a useful vote.
-  auto tit = parked_tickets_.find(id);
-  if (tit != parked_tickets_.end()) {
-    std::vector<std::uint64_t> tickets = std::move(tit->second);
-    parked_tickets_.erase(tit);
+  if (CmdInfo* info = history_.find(id)) {
+    std::vector<std::uint64_t> tickets;
+    tickets.swap(info->parked_tickets);
     for (std::uint64_t ticket : tickets) {
       auto pit = parked_.find(ticket);
       if (pit != parked_.end()) release_parked(ticket, pit->second);
@@ -540,12 +553,12 @@ void Caesar::wake_dependents(CmdId id) {
     auto pit = parked_.find(ticket);
     if (pit == parked_.end() || pit->second.wait_epoch != epoch) continue;
     Parked& p = pit->second;
-    auto hit = history_.find(p.cmd);
-    if (hit == history_.end()) {  // pruned: drop silently
+    const CmdInfo* found = entry(p.cmd);
+    if (found == nullptr) {  // pruned: drop silently
       release_parked(ticket, p, /*record_wait=*/false);
       continue;
     }
-    CmdInfo& info = hit->second;
+    const CmdInfo& info = *found;
     if (info.ballot > p.ballot || info.status == Status::kStable ||
         info.status == Status::kAccepted) {
       // The command moved on without our vote; the wait is moot.
@@ -610,9 +623,10 @@ void Caesar::handle_retry(NodeId from, net::Decoder& d) {
   TimestampedCmdMsg m = TimestampedCmdMsg::decode(d);
   clock_.observe(m.ts);
   const CmdId id = m.cmd.id;
-  if (current_ballot(id) > m.ballot) return;
-  ballots_[id] = m.ballot;
-  CmdInfo& info = upsert(m.cmd);
+  CmdInfo& info = history_[id];
+  if (info.joined > m.ballot) return;
+  info.joined = m.ballot;
+  adopt(info, m.cmd);
   if (info.status == Status::kStable) {
     // Already stable (a higher-ballot recovery finished first). Theorem 2
     // guarantees the attributes match; answer consistently if they do.
@@ -654,77 +668,81 @@ void Caesar::handle_retry_reply(NodeId from, net::Decoder& d) {
 void Caesar::handle_stable(net::Decoder& d) {
   TimestampedCmdMsg m = TimestampedCmdMsg::decode(d);
   clock_.observe(m.ts);
-  if (current_ballot(m.cmd.id) > m.ballot) return;
-  ballots_[m.cmd.id] = m.ballot;
-  make_stable(m.cmd, m.ballot, m.ts, std::move(m.pred));
+  CmdInfo& info = history_[m.cmd.id];
+  if (info.joined > m.ballot) return;
+  info.joined = m.ballot;
+  make_stable(info, m.cmd, m.ballot, m.ts, std::move(m.pred));
 }
 
-void Caesar::make_stable(const rsm::Command& cmd, Ballot ballot,
+void Caesar::make_stable(CmdInfo& info, const rsm::Command& cmd, Ballot ballot,
                          const Timestamp& ts, IdSet pred) {
-  CmdInfo& info = upsert(cmd);
+  adopt(info, cmd);
   if (info.status == Status::kStable) return;  // duplicate
   update_entry(info, ts, std::move(pred), Status::kStable, ballot,
                info.forced);
+  // `info` may dangle from here on: delivery can create records.
   break_loops(cmd.id);
   try_deliver(cmd.id);
   wake_dependents(cmd.id);
 }
 
 void Caesar::break_loops(CmdId id) {
-  CmdInfo& info = history_.at(id);
-  std::vector<CmdId> lower_stable;
-  std::vector<CmdId> higher_stable;
-  env_.charge_cpu(static_cast<Time>(info.pred.size()) / kEntriesPerUs);
-  for (CmdId p : info.pred) {
-    auto it = history_.find(p);
-    if (it == history_.end() || it->second.status != Status::kStable) continue;
-    if (it->second.ts < info.ts) {
-      lower_stable.push_back(p);
-    } else {
-      higher_stable.push_back(p);
+  lower_stable_.clear();
+  higher_stable_.clear();
+  {
+    CmdInfo& info = *history_.find(id);
+    env_.charge_cpu(static_cast<Time>(info.pred.size()) / kEntriesPerUs);
+    for (CmdId p : info.pred) {
+      const CmdInfo* pi = history_.find(p);
+      if (pi == nullptr || pi->status != Status::kStable) continue;
+      if (pi->ts < info.ts) {
+        lower_stable_.push_back(p);
+      } else {
+        higher_stable_.push_back(p);
+      }
     }
+    // A stable predecessor with a *greater* timestamp is a loop artefact:
+    // drop it from our set (paper Fig 3 lines 13-14).
+    for (CmdId p : higher_stable_) info.pred.erase(p);
   }
-  // A stable predecessor with a *greater* timestamp is a loop artefact:
-  // drop it from our set (paper Fig 3 lines 13-14).
-  for (CmdId p : higher_stable) info.pred.erase(p);
   // Symmetrically, remove us from the predecessor sets of stable commands
   // with lower timestamps (lines 11-12); that can unblock their delivery.
-  for (CmdId p : lower_stable) {
-    CmdInfo& pi = history_.at(p);
-    if (pi.pred.erase(id)) try_deliver(p);
+  // Delivery can create records, so each one is looked up afresh.
+  for (CmdId p : lower_stable_) {
+    if (history_.find(p)->pred.erase(id)) try_deliver(p);
   }
 }
 
 void Caesar::try_deliver(CmdId id) {
-  if (delivered_.count(id) != 0) return;
-  auto it = history_.find(id);
-  if (it == history_.end() || it->second.status != Status::kStable) return;
+  if (delivered_.contains(id)) return;
+  if (status_of(id) != Status::kStable) return;
   deliver_cascade(id);
 }
 
 void Caesar::deliver_cascade(CmdId id) {
-  std::deque<CmdId> queue{id};
-  while (!queue.empty()) {
-    const CmdId cur = queue.front();
-    queue.pop_front();
-    if (delivered_.count(cur) != 0) continue;
-    auto it = history_.find(cur);
-    if (it == history_.end() || it->second.status != Status::kStable) continue;
-    CmdInfo& info = it->second;
+  // FIFO over a reused buffer: `head` is the front, push_back the back.
+  cascade_queue_.clear();
+  cascade_queue_.push_back(id);
+  for (std::size_t head = 0; head < cascade_queue_.size(); ++head) {
+    const CmdId cur = cascade_queue_[head];
+    if (delivered_.contains(cur)) continue;
+    const CmdInfo* info = history_.find(cur);
+    if (info == nullptr || info->status != Status::kStable) continue;
     // DELIVERABLE (paper Fig 3 lines 16-17): all predecessors decided.
     CmdId missing = kNoCmd;
-    for (CmdId p : info.pred) {
-      if (delivered_.count(p) == 0) {
+    for (CmdId p : info->pred) {
+      if (!delivered_.contains(p)) {
         missing = p;
         break;
       }
     }
     if (missing != kNoCmd) {
-      delivery_waiters_[missing].push_back(cur);
+      // May create the missing predecessor's record: `info` dangles.
+      history_[missing].delivery_waiters.push_back(cur);
       continue;
     }
     delivered_.insert(cur);
-    deliver_(info.cmd);
+    deliver_(info->cmd);
     auto cit = coord_.find(cur);
     if (cit != coord_.end() && cit->second.phase == Phase::kDone) {
       if (stats_ != nullptr) {
@@ -733,11 +751,9 @@ void Caesar::deliver_cascade(CmdId id) {
       coord_.erase(cit);
     }
     if (cfg_.gossip_interval_us > 0) gossip_outbox_.push_back(cur);
-    auto w = delivery_waiters_.find(cur);
-    if (w != delivery_waiters_.end()) {
-      for (CmdId next : w->second) queue.push_back(next);
-      delivery_waiters_.erase(w);
-    }
+    std::vector<CmdId>& waiters = history_.find(cur)->delivery_waiters;
+    cascade_queue_.insert(cascade_queue_.end(), waiters.begin(), waiters.end());
+    waiters.clear();
   }
 }
 
@@ -751,10 +767,13 @@ void Caesar::on_node_suspected(NodeId peer) {
   for (const auto& [id, info] : history_) {
     if (info.status == Status::kStable || info.status == Status::kNone)
       continue;
-    const Ballot b = current_ballot(id);
+    const Ballot b = info.joined;
     const NodeId leader = ballot_round(b) == 0 ? cmd_origin(id) : ballot_node(b);
     if (leader == peer) to_recover.push_back(id);
   }
+  // Each recovery draws its own stagger; draw in id order so the draws do
+  // not depend on the history table's layout.
+  std::sort(to_recover.begin(), to_recover.end());
   for (CmdId id : to_recover) {
     const Time stagger = static_cast<Time>(env_.rng().uniform_int(
         static_cast<std::uint64_t>(cfg_.recovery_stagger_us) + 1));
@@ -769,8 +788,8 @@ void Caesar::on_node_recovered(NodeId peer) {
 }
 
 void Caesar::start_recovery(CmdId id) {
-  auto hit = history_.find(id);
-  if (hit == history_.end() || hit->second.status == Status::kStable) return;
+  const CmdInfo* info = entry(id);
+  if (info == nullptr || info->status == Status::kStable) return;
   if (recovery_.count(id) != 0) return;  // already recovering
   if (stats_ != nullptr) ++stats_->recoveries;
   const Ballot nb = make_ballot(ballot_round(current_ballot(id)) + 1, env_.id());
@@ -791,7 +810,9 @@ void Caesar::start_recovery(CmdId id) {
 void Caesar::handle_recovery(NodeId from, net::Decoder& d) {
   RecoveryMsg m = RecoveryMsg::decode(d);
   if (m.ballot <= current_ballot(m.cmd)) return;
-  ballots_[m.cmd] = m.ballot;
+  // Joining a ballot for a command never seen here leaves a side record:
+  // kNone, so the reply below carries no info.
+  history_[m.cmd].joined = m.ballot;
   // If we were coordinating this command under a lower ballot, stand down.
   auto cit = coord_.find(m.cmd);
   if (cit != coord_.end() && cit->second.ballot < m.ballot &&
@@ -804,9 +825,9 @@ void Caesar::handle_recovery(NodeId from, net::Decoder& d) {
   RecoveryReplyMsg r;
   r.cmd = m.cmd;
   r.ballot = m.ballot;
-  auto hit = history_.find(m.cmd);
-  if (hit != history_.end() && hit->second.status != Status::kNone) {
-    const CmdInfo& info = hit->second;
+  const CmdInfo* found = history_.find(m.cmd);
+  if (found != nullptr && found->status != Status::kNone) {
+    const CmdInfo& info = *found;
     r.has_info = true;
     r.payload = info.cmd;
     r.ts = info.ts;
@@ -855,9 +876,9 @@ void Caesar::finish_recovery(CmdId id) {
   if (!any_info) {
     // Nobody in the quorum has seen the command (case at Fig 5 lines 26-27);
     // we only recover commands we know, so propose it afresh.
-    auto hit = history_.find(id);
-    if (hit == history_.end()) return;
-    fast_proposal_phase(hit->second.cmd, B, clock_.next(), std::nullopt);
+    const CmdInfo* info = entry(id);
+    if (info == nullptr) return;
+    fast_proposal_phase(info->cmd, B, clock_.next(), std::nullopt);
     return;
   }
 
@@ -966,7 +987,7 @@ void Caesar::catchup_tick() {
   env_.set_timer(cfg_.catchup_interval_us, [this] { catchup_tick(); });
   // Drop hints that resolved through normal traffic since the last tick.
   for (auto it = catchup_hints_.begin(); it != catchup_hints_.end();) {
-    if (status_of(*it) == Status::kStable || delivered_.count(*it) != 0) {
+    if (status_of(*it) == Status::kStable || delivered_.contains(*it)) {
       it = catchup_hints_.erase(it);
     } else {
       ++it;
@@ -976,14 +997,18 @@ void Caesar::catchup_tick() {
   // hint), a stable command blocked on an undelivered predecessor, or an
   // in-flight entry that never resolves. Any of these together with a
   // stalled delivered count means this node is missing decisions.
-  bool backlog = !catchup_hints_.empty() || !delivery_waiters_.empty();
+  bool backlog = !catchup_hints_.empty();
   if (!backlog) {
     for (const auto& [id, info] : history_) {
+      if (!info.delivery_waiters.empty()) {
+        backlog = true;
+        break;
+      }
       if (info.status != Status::kNone && info.status != Status::kStable) {
         backlog = true;
         break;
       }
-      if (info.status == Status::kStable && delivered_.count(id) == 0) {
+      if (info.status == Status::kStable && !delivered_.contains(id)) {
         backlog = true;
         break;
       }
@@ -1010,12 +1035,11 @@ void Caesar::request_catchup() {
         bound[o] = std::max(bound[o], cmd_seq(id) + 1);
         hash[o] = mix_id(hash[o], id);  // bound = max+1, so all stables count
       }
-    } else if (info.status != Status::kNone) {
-      wanted.push_back(id);  // in flight here; may be stable elsewhere
+    } else if (info.status != Status::kNone || !info.delivery_waiters.empty()) {
+      // In flight here, or a predecessor stable commands wait on: either
+      // may be stable elsewhere.
+      wanted.push_back(id);
     }
-  }
-  for (const auto& [missing, waiters] : delivery_waiters_) {
-    if (status_of(missing) != Status::kStable) wanted.push_back(missing);
   }
   for (CmdId hint : catchup_hints_) {
     if (status_of(hint) != Status::kStable) wanted.push_back(hint);
@@ -1085,7 +1109,7 @@ void Caesar::on_catchup_request(NodeId from, net::Decoder& d) {
     e.put_varint(round);
     e.put_varint(count);
     for (std::size_t k = 0; k < count; ++k) {
-      const CmdInfo& info = history_.at(ship[pos + k]);
+      const CmdInfo& info = *history_.find(ship[pos + k]);
       info.cmd.encode(e);
       e.put_u64(info.ballot);
       info.ts.encode(e);
@@ -1105,7 +1129,6 @@ void Caesar::on_catchup_reply(NodeId /*from*/, net::Decoder& d) {
     TimestampedCmdMsg m = TimestampedCmdMsg::decode(d);
     clock_.observe(m.ts);
     const CmdId id = m.cmd.id;
-    if (m.ballot > current_ballot(id)) ballots_[id] = m.ballot;
     if (status_of(id) != Status::kStable) {
       rec_.note_catchup_news();
       if (stats_ != nullptr) ++stats_->catchup_commands;
@@ -1119,7 +1142,9 @@ void Caesar::on_catchup_reply(NodeId /*from*/, net::Decoder& d) {
       }
       coord_.erase(cit);
     }
-    make_stable(m.cmd, m.ballot, m.ts, std::move(m.pred));
+    CmdInfo& info = history_[id];
+    if (m.ballot > info.joined) info.joined = m.ballot;
+    make_stable(info, m.cmd, m.ballot, m.ts, std::move(m.pred));
   }
   if (d.get_u8() != 0 && round == rec_.catchup_round()) {
     // Clears the latch only if the round in flight taught us nothing new;
@@ -1142,7 +1167,7 @@ void Caesar::gossip_tick() {
     m.encode(e);
     env_.broadcast(kGossip, std::move(e), /*include_self=*/false);
     for (std::uint64_t id : m.delivered) {
-      if (++delivered_acks_[id] == n_) maybe_prune(id);
+      if (++history_[id].acks == n_) maybe_prune(id);
     }
   }
   env_.set_timer(cfg_.gossip_interval_us, [this] { gossip_tick(); });
@@ -1151,24 +1176,26 @@ void Caesar::gossip_tick() {
 void Caesar::handle_gossip(NodeId /*from*/, net::Decoder& d) {
   GossipMsg m = GossipMsg::decode(d);
   for (std::uint64_t id : m.delivered) {
-    if (++delivered_acks_[id] == n_) maybe_prune(id);
-    // The sender delivered this command; if it is not stable here, its
-    // STABLE never arrived (e.g. the broadcast died with a crashing sender)
-    // and nothing local may ever reference it — flag it for catch-up.
-    if (status_of(id) != Status::kStable) catchup_hints_.insert(id);
+    if (++history_[id].acks == n_) maybe_prune(id);
+    // The sender delivered this command; if it is neither stable nor
+    // delivered here (the last ack may just have pruned it), its STABLE
+    // never arrived (e.g. the broadcast died with a crashing sender) and
+    // nothing local may ever reference it — flag it for catch-up.
+    if (status_of(id) != Status::kStable && !delivered_.contains(id)) {
+      catchup_hints_.insert(id);
+    }
   }
 }
 
 void Caesar::maybe_prune(CmdId id) {
   // Delivered on every node: no future proposal can need it as a
   // predecessor, and nobody will ask about it again (paper §V-B).
-  if (delivered_.count(id) == 0) return;
-  auto it = history_.find(id);
-  if (it == history_.end()) return;
-  index_erase(it->second.cmd, it->second.ts);
-  history_.erase(it);
-  ballots_.erase(id);
-  delivered_acks_.erase(id);
+  // Delivery drained the record's waiter lists, so nothing else is lost.
+  if (!delivered_.contains(id)) return;
+  const CmdInfo* info = entry(id);
+  if (info == nullptr) return;
+  index_erase(info->cmd, info->ts);
+  history_.erase(id);
 }
 
 // --------------------------------------------------------------------------

@@ -22,13 +22,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/caesar_messages.h"
+#include "core/cmd_table.h"
 #include "core/key_index.h"
 #include "core/timestamp.h"
 #include "runtime/protocol.h"
@@ -85,19 +85,35 @@ class Caesar final : public rt::Protocol {
   /// Current predecessor set of a command in the history.
   IdSet pred_of(CmdId id) const;
   Timestamp ts_of(CmdId id) const;
-  std::size_t history_size() const { return history_.size(); }
-  bool is_delivered(CmdId id) const { return delivered_.count(id) != 0; }
+  /// Commands in the history (records holding only a joined ballot, gossip
+  /// acks or waiters do not count).
+  std::size_t history_size() const;
+  bool is_delivered(CmdId id) const { return delivered_.contains(id); }
   std::size_t parked_count() const { return parked_.size(); }
+  /// Gossiped ids queued for catch-up as decisions this node missed.
+  std::size_t catchup_hint_count() const { return catchup_hints_.size(); }
 
  private:
   // ---- history ------------------------------------------------------------
+  /// Everything this node keeps about one command id. A record can exist
+  /// before the command itself is known here (cmd.id == kNoCmd, status
+  /// kNone): a recovery ballot joined for it, gossip acks, or stable
+  /// commands waiting on its delivery. Such records are not part of the
+  /// history H: status_of reports kNone and history walks skip them.
   struct CmdInfo {
     rsm::Command cmd;
     Timestamp ts;
     IdSet pred;
     Status status = Status::kNone;
-    Ballot ballot = 0;   // ballot under which this tuple was written
-    bool forced = false; // predecessors forced by a recovery whitelist
+    bool forced = false;  // predecessors forced by a recovery whitelist
+    Ballot ballot = 0;    // ballot under which this tuple was written
+    Ballot joined = 0;    // highest ballot joined for this id (TLA bal)
+    std::uint32_t acks = 0;  // delivered-id gossip acks, own included
+    /// Stable commands whose delivery waits on this id's.
+    std::vector<CmdId> delivery_waiters;
+    /// Tickets of proposals for this id parked by the wait condition
+    /// (released as moot once its status advances past the proposal stage).
+    std::vector<std::uint64_t> parked_tickets;
   };
 
   // ---- leader-side coordination --------------------------------------------
@@ -199,7 +215,11 @@ class Caesar final : public rt::Protocol {
                       bool record_wait = true);
 
   // ---- history / index maintenance ------------------------------------------
-  CmdInfo& upsert(const rsm::Command& cmd);
+  /// The record of a command in the history H, or nullptr when `id` is
+  /// unknown here or has only a side record (see CmdInfo).
+  CmdInfo* entry(CmdId id);
+  /// Enters `cmd` into H through `info`, the record of cmd.id.
+  static void adopt(CmdInfo& info, const rsm::Command& cmd);
   /// H.UPDATE from the paper: replaces the tuple and maintains the per-key
   /// timestamp index.
   void update_entry(CmdInfo& info, const Timestamp& ts, IdSet pred,
@@ -207,8 +227,8 @@ class Caesar final : public rt::Protocol {
   void index_erase(const rsm::Command& cmd, const Timestamp& ts);
 
   // ---- stable / delivery ------------------------------------------------------
-  void make_stable(const rsm::Command& cmd, Ballot ballot, const Timestamp& ts,
-                   IdSet pred);
+  void make_stable(CmdInfo& info, const rsm::Command& cmd, Ballot ballot,
+                   const Timestamp& ts, IdSet pred);
   void break_loops(CmdId id);
   void try_deliver(CmdId id);
   void deliver_cascade(CmdId id);
@@ -240,8 +260,12 @@ class Caesar final : public rt::Protocol {
   std::size_t cq_;
   TimestampClock clock_;
 
-  std::unordered_map<CmdId, CmdInfo> history_;
-  std::unordered_map<CmdId, Ballot> ballots_;
+  /// One record per command id (CmdInfo): the history H plus the per-id
+  /// protocol state kept beside it.
+  CmdTable<CmdInfo> history_;
+  /// Ids delivered here, kept after their records are pruned so a late
+  /// duplicate STABLE or a successor's predecessor check still sees them.
+  DeliveredIds delivered_;
   /// Per-key conflict index ordered by timestamp — the paper's red-black
   /// tree of conflicting commands (§VI), flattened to sorted vectors.
   KeyIndex key_index_;
@@ -251,7 +275,7 @@ class Caesar final : public rt::Protocol {
 
   // --- wait-condition waiter index ---
   // Parked proposals keyed by a monotone ticket; per-blocker wakeup lists
-  // mirror delivery_waiters_: a status change re-evaluates only the
+  // mirror CmdInfo::delivery_waiters: a status change re-evaluates only the
   // proposals it can actually unblock, not the whole parked set.
   std::uint64_t next_park_ticket_ = 1;
   std::unordered_map<std::uint64_t, Parked> parked_;
@@ -260,17 +284,14 @@ class Caesar final : public rt::Protocol {
   /// re-registered or was released) and are skipped on wake.
   std::unordered_map<CmdId, std::vector<std::pair<std::uint64_t, std::uint64_t>>>
       park_waiters_;
-  /// cmd -> tickets parked for that cmd itself (released as moot when the
-  /// cmd's own status advances past the proposal stage).
-  std::unordered_map<CmdId, std::vector<std::uint64_t>> parked_tickets_;
 
-  std::unordered_set<CmdId> delivered_;
-  /// stable-but-blocked commands waiting for `key` to be delivered.
-  std::unordered_map<CmdId, std::vector<CmdId>> delivery_waiters_;
+  // --- stable-path work buffers (reused across calls; no per-call alloc) ---
+  std::vector<CmdId> cascade_queue_;  // deliver_cascade's FIFO
+  std::vector<CmdId> lower_stable_;   // break_loops' two partitions
+  std::vector<CmdId> higher_stable_;
 
   // --- gc state ---
   std::vector<CmdId> gossip_outbox_;
-  std::unordered_map<CmdId, std::uint32_t> delivered_acks_;
 
   // --- catch-up state ---
   /// Shared recovery machinery: failure-detector view, catch-up rotor and
@@ -282,10 +303,11 @@ class Caesar final : public rt::Protocol {
   /// the watchdog keeps re-requesting until the backlog drains, so the cap
   /// only bounds one round, not total transfer.
   static constexpr std::size_t kCatchupMaxWanted = 512;
-  /// Delivered ids gossiped by peers that are not stable here: each is proof
-  /// of a decision this node missed (e.g. a STABLE broadcast cut down
-  /// mid-flight by the sender's crash), so they count as watchdog backlog
-  /// and ride the catch-up wanted list. Pruned lazily once stable locally.
+  /// Delivered ids gossiped by peers that are neither stable nor delivered
+  /// here: each is proof of a decision this node missed (e.g. a STABLE
+  /// broadcast cut down mid-flight by the sender's crash), so they count as
+  /// watchdog backlog and ride the catch-up wanted list. Pruned lazily once
+  /// stable locally.
   std::unordered_set<CmdId> catchup_hints_;
 };
 

@@ -638,8 +638,8 @@ void EPaxos::finish_recovery(InstanceId iid) {
     // no ordering edge to its rivals. Instead re-run the PreAccept round at
     // the recovery ballot, seeded with the union plus locally recomputed
     // interference — acceptors fold in whatever they learned since, and any
-    // disagreement routes through the normal slow path (the simplified
-    // stand-in for the paper's TryPreAccept, see DESIGN.md).
+    // disagreement routes through the normal slow path. This stands in for
+    // the paper's TryPreAccept, which this implementation does not have.
     const rsm::Command cmd = preaccepted.front()->cmd;
     auto [seq, deps] = attributes_for(cmd, iid);
     for (const Instance* a : preaccepted) {

@@ -14,7 +14,9 @@
 //     CAESAR's implicit predecessor sets (Figs 8, 9).
 //
 // Recovery is a simplified explicit-prepare sufficient for the paper's
-// single-crash experiment (see DESIGN.md for the documented simplification).
+// single-crash experiment: it has no TryPreAccept round. Pre-accepted
+// attributes seen identically by a majority of the classic quorum are
+// adopted through Accept; otherwise PreAccept re-runs at the recovery ballot.
 //
 // Beyond the paper's fault-free evaluation, a rejoining replica runs
 // instance-space catch-up (extension): leader columns are dense (slots are

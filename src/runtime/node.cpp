@@ -178,7 +178,7 @@ void Node::on_packet(NodeId from,
       cfg_.base_service_us);
 }
 
-void Node::enqueue(std::function<void()> fn, Time service) {
+void Node::enqueue(sim::InlineFn fn, Time service) {
   if (crashed_) return;
   queue_.push_back(Task{std::move(fn), service});
   if (!busy_) run_next();

@@ -26,6 +26,7 @@
 #include "net/buffer_pool.h"
 #include "net/network.h"
 #include "runtime/protocol.h"
+#include "sim/inline_fn.h"
 #include "storage/durability.h"
 
 namespace caesar::rt {
@@ -135,7 +136,7 @@ class Node final : public Env {
   /// Stamps the type tag into the body and wraps it as a pooled payload.
   std::shared_ptr<const std::vector<std::byte>> finish_frame(
       std::uint16_t type, net::Encoder body);
-  void enqueue(std::function<void()> fn, Time service);
+  void enqueue(sim::InlineFn fn, Time service);
   void run_next();
   void flush_batch();
   bool window_has_room() const { return open_batches_ < cfg_.pipeline_window; }
@@ -163,8 +164,10 @@ class Node final : public Env {
   /// armed in a previous incarnation (see set_timer / run_next).
   std::uint64_t epoch_ = 0;
 
+  /// One unit of CPU work. InlineFn keeps the per-message closure
+  /// (`[this, from, shared_ptr]`, 32 bytes) off the heap.
   struct Task {
-    std::function<void()> fn;
+    sim::InlineFn fn;
     Time service;
   };
   std::deque<Task> queue_;

@@ -6,7 +6,8 @@
 // schedule/execute cycle pays an allocate/free pair, and moving a slab
 // element drags the allocator into heap sift operations. InlineFn widens the
 // inline buffer to 48 bytes — sized for the hottest closures in the codebase
-// (network delivery, CPU-completion, and the node timer wrapper, all ≤48
+// (network delivery, CPU-completion, the node timer wrapper, and the node's
+// CPU-queue tasks for handled messages, submissions and batch flushes, all ≤48
 // bytes) — and keeps the vtable down to the three operations the slab
 // actually needs: invoke, relocate, destroy. No copy, no target(), no
 // allocator hooks.

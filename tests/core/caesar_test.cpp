@@ -430,6 +430,26 @@ TEST(CaesarTest, GcKeepsDeliveredSetForDeliverability) {
   f.expect_consistent();
 }
 
+TEST(CaesarTest, GossipLeavesNoCatchupHintsAtQuiescence) {
+  // Every command reaches every node, so no gossiped id is a missed
+  // decision. The last ack prunes a command before the hint check runs;
+  // that must not file the (delivered) command as a catch-up hint. With the
+  // watchdog off nothing would ever trim such hints.
+  CaesarConfig cfg;
+  cfg.gossip_interval_us = 20 * kMs;
+  Fixture f(5, cfg);
+  for (int i = 0; i < 40; ++i) {
+    f.submit(static_cast<NodeId>(i % 5), static_cast<Key>(i % 3));
+  }
+  f.sim.run_until(2 * kSec);
+  for (NodeId i = 0; i < 5; ++i) {
+    ASSERT_EQ(f.logs[i].size(), 40u) << "node " << i;
+    EXPECT_EQ(f.caesar(i).history_size(), 0u) << "node " << i;
+    EXPECT_EQ(f.caesar(i).catchup_hint_count(), 0u) << "node " << i;
+  }
+  f.expect_consistent();
+}
+
 TEST(CaesarTest, RandomizedSeedSweepInvariants) {
   // Property test: across seeds and conflict levels, every run must satisfy
   // consistency, Theorem 1 and Theorem 2.

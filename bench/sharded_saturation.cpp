@@ -58,9 +58,7 @@ RunReport run_saturation(std::uint32_t shards, std::uint32_t clients,
   b.shards(shards)
       .duration(4 * kSec)
       .warmup(1 * kSec)
-      .seed(41)
-      .check_consistency(false);  // saturation runs are large; fault panel
-                                  // below asserts the oracle instead
+      .seed(41);
   return harness::run_scenario(b.build());
 }
 

@@ -40,14 +40,14 @@ OrderChecker::OrderChecker(std::size_t nodes, bool durable)
 }
 
 std::uint32_t OrderChecker::slot_for(Key key) {
-  auto [it, inserted] =
-      slots_.try_emplace(key, static_cast<std::uint32_t>(seqs_.size()));
-  if (inserted) {
+  std::uint32_t& slot = slots_[key];
+  if (slot == 0) {
+    slot = static_cast<std::uint32_t>(seqs_.size());
     seqs_.emplace_back().key = key;
     pos_.resize(pos_.size() + stride_, 0);
     flags_.resize(flags_.size() + n_, 0);
   }
-  return it->second;
+  return slot;
 }
 
 void OrderChecker::deliver(NodeId node, const rsm::Command& cmd, Time now) {
@@ -218,7 +218,7 @@ void OrderChecker::restart(NodeId node, std::uint64_t durable_count,
       std::remove_if(violations_.begin(), violations_.end(),
                      [&](const OrderViolation& v) {
                        return v.node == node &&
-                              v.position >= cursor(slots_.at(v.key), node);
+                              v.position >= cursor(*slots_.find(v.key), node);
                      }),
       violations_.end());
   if (ns.seq_mismatch && !ns.trimmed &&

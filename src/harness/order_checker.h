@@ -34,9 +34,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/types.h"
 #include "rsm/command.h"
 #include "rsm/delivery_log.h"
@@ -189,8 +189,9 @@ class OrderChecker {
   std::vector<std::uint64_t> pos_;
   /// Per slot: one kUnanchored/kTouched byte per node.
   std::vector<std::uint8_t> flags_;
-  /// Key -> slot in seqs_ (slot 0 is the whole sequence).
-  std::unordered_map<Key, std::uint32_t> slots_;
+  /// Key -> slot in seqs_. Slot 0 is the whole sequence, so a record
+  /// reading 0 is one slot_for has just created.
+  FlatTable<std::uint32_t> slots_;
   std::vector<NodeState> nodes_;
   std::vector<OrderViolation> violations_;
   /// Set when a restart contradicts the durable counts fed before it.

@@ -684,13 +684,8 @@ stats::ProtocolCounters aggregate_counters(
 }
 
 void record_unbundled(rsm::DeliveryLog& log, const rsm::Command& cmd) {
-  if (rsm::is_batch_command(cmd)) {
-    for (std::size_t k = 0; k < cmd.ops.size(); ++k) {
-      log.record(rsm::batch_member(cmd, k));
-    }
-  } else {
-    log.record(cmd);
-  }
+  rsm::for_each_member(cmd,
+                       [&log](const rsm::Command& m) { log.record(m); });
 }
 
 /// Lays out the report's metrics windows: disjoint half-open slices covering

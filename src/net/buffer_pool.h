@@ -25,7 +25,7 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
   static constexpr std::size_t kMaxRetained = 256;
 
   /// An empty buffer, reusing pooled storage when available.
-  std::vector<std::byte> acquire(std::size_t reserve_hint = 0) {
+  std::vector<std::byte> acquire() {
     std::vector<std::byte> buf;
     if (!buffers_.empty()) {
       buf = std::move(buffers_.back());
@@ -33,7 +33,6 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
       buf.clear();
       ++reuses_;
     }
-    if (reserve_hint > 0) buf.reserve(reserve_hint);
     return buf;
   }
 

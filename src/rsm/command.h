@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -88,6 +89,27 @@ inline Command batch_member(const Command& batch, std::size_t k) {
   m.origin = batch.origin;
   m.ops = {batch.ops[k]};
   return m;
+}
+
+/// Calls `fn` with each member of a batch composite in op order, or once
+/// with `cmd` itself when it is not a composite. The members are rewritten
+/// in place into one Command on this call's stack (one allocation per
+/// composite, not one per member): while `fn` runs, its argument equals
+/// batch_member(cmd, k), and `fn` copies whatever it keeps.
+template <typename Fn>
+void for_each_member(const Command& cmd, Fn&& fn) {
+  if (!is_batch_command(cmd)) {
+    fn(cmd);
+    return;
+  }
+  Command m;
+  m.origin = cmd.origin;
+  m.ops.resize(1);
+  for (std::size_t k = 0; k < cmd.ops.size(); ++k) {
+    m.id = batch_member_cmd_id(cmd.id, k);
+    m.ops[0] = cmd.ops[k];
+    fn(std::as_const(m));
+  }
 }
 
 }  // namespace caesar::rsm

@@ -1,12 +1,18 @@
 // Versioned in-memory key-value store: the replicated state machine the
 // consensus protocols feed. apply() is the DECIDE(c) end of the Generalized
 // Consensus interface.
+//
+// Entries live inline in an open-addressing table (common/flat_table.h):
+// every replica, every harness mirror and every durable mirror applies each
+// delivered command, so the per-op probe is one of the simulator's hottest
+// paths. Iteration order (contents(), and so the entry order of snapshot
+// payloads) is unspecified; digest() does not depend on it.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 
+#include "common/flat_table.h"
 #include "rsm/command.h"
 
 namespace caesar::rsm {
@@ -17,6 +23,7 @@ class KvStore {
     std::uint64_t value = 0;
     std::uint64_t version = 0;  // number of writes applied to this key
   };
+  using Table = FlatTable<Entry>;
 
   /// Applies every op of `cmd` (last-writer-wins per op order).
   void apply(const Command& cmd) {
@@ -45,9 +52,9 @@ class KvStore {
   void set_applied_commands(std::uint64_t n) { applied_commands_ = n; }
 
   std::optional<Entry> get(Key k) const {
-    auto it = map_.find(k);
-    if (it == map_.end()) return std::nullopt;
-    return it->second;
+    const Entry* e = map_.find(k);
+    if (e == nullptr) return std::nullopt;
+    return *e;
   }
 
   std::uint64_t applied_commands() const { return applied_commands_; }
@@ -62,7 +69,8 @@ class KvStore {
     std::uint64_t d = 0;
     for (const auto& [key, e] : map_) {
       // FNV-1a per entry, combined by addition so iteration order (which
-      // differs across unordered_map instances) cannot matter.
+      // differs across tables with different insertion histories) cannot
+      // matter.
       constexpr std::uint64_t kPrime = 1099511628211ull;
       std::uint64_t h = 1469598103934665603ull;
       h = (h ^ key) * kPrime;
@@ -73,10 +81,11 @@ class KvStore {
     return d;
   }
 
-  const std::unordered_map<Key, Entry>& contents() const { return map_; }
+  /// Every (key, entry) pair once, in unspecified order.
+  const Table& contents() const { return map_; }
 
  private:
-  std::unordered_map<Key, Entry> map_;
+  Table map_;
   std::uint64_t applied_commands_ = 0;
 };
 

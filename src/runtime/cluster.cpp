@@ -36,13 +36,8 @@ void Cluster::handle_delivery(NodeId node, const rsm::Command& cmd) {
   // back in as they come out of consensus.
   nodes_[node]->note_delivery(cmd);
   if (on_deliver_) {
-    if (rsm::is_batch_command(cmd)) {
-      for (std::size_t k = 0; k < cmd.ops.size(); ++k) {
-        on_deliver_(node, rsm::batch_member(cmd, k));
-      }
-    } else {
-      on_deliver_(node, cmd);
-    }
+    rsm::for_each_member(
+        cmd, [&](const rsm::Command& member) { on_deliver_(node, member); });
   }
   if (instance_hook_) instance_hook_(node);
 }

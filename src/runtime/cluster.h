@@ -36,6 +36,8 @@ class Cluster {
   /// Observes every delivery (node, command) — metrics, state machine, tests.
   /// Batch composites are unbundled before this hook fires: observers always
   /// see individual client commands (rsm::batch_member), never composites.
+  /// A member is only valid during the call (rsm::for_each_member rewrites
+  /// one Command per composite); observers copy what they keep.
   using DeliverHook = std::function<void(NodeId, const rsm::Command&)>;
   /// Observes every protocol-level delivery (one consensus instance — a
   /// single command or a whole batch composite) after its members went

@@ -134,6 +134,7 @@ class Node final : public Env {
   /// protocol or the runtime's reserved catch-up hooks.
   void dispatch_frame(NodeId from, std::uint16_t type, net::Decoder& d);
   /// Stamps the type tag into the body and wraps it as a pooled payload.
+  /// Throws std::logic_error for a body not built by encoder().
   std::shared_ptr<const std::vector<std::byte>> finish_frame(
       std::uint16_t type, net::Encoder body);
   void enqueue(sim::InlineFn fn, Time service);

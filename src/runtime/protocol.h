@@ -49,9 +49,9 @@ class Env {
 
   /// Message-body encoder for send/broadcast. The runtime's implementation
   /// recycles buffers through its pool and pre-reserves the frame header, so
-  /// a protocol that encodes into env.encoder() ships its bytes with zero
-  /// copies and zero steady-state allocation; a default-constructed
-  /// net::Encoder still works everywhere, one framing copy slower.
+  /// the bytes ship with zero copies and zero steady-state allocation. Every
+  /// body sent must come from here: the runtime rejects one without the
+  /// reserved header (a default-constructed net::Encoder).
   virtual net::Encoder encoder() {
     return net::Encoder::with_frame_header({});
   }

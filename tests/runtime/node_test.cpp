@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "runtime/cluster.h"
 
@@ -19,7 +20,7 @@ class EchoProtocol final : public Protocol {
 
   void propose(rsm::Command cmd) override {
     proposed.push_back(cmd);
-    net::Encoder e;
+    net::Encoder e = env_.encoder();
     cmd.encode(e);
     env_.broadcast(1, std::move(e), /*include_self=*/true);
   }
@@ -353,35 +354,13 @@ TEST(NodeTest, TimersDoNotFireAfterCrash) {
 // Pooled send path
 // ---------------------------------------------------------------------------
 
-/// Like EchoProtocol, but encodes through env.encoder() — the zero-copy
-/// framed path the real protocols use.
-class PooledEchoProtocol final : public Protocol {
- public:
-  PooledEchoProtocol(Env& env, DeliverFn deliver)
-      : Protocol(env, std::move(deliver)) {}
-
-  void propose(rsm::Command cmd) override {
-    net::Encoder e = env_.encoder();
-    cmd.encode(e);
-    env_.broadcast(1, std::move(e), /*include_self=*/true);
-  }
-
-  void on_message(NodeId from, std::uint16_t type, net::Decoder& d) override {
-    (void)from;
-    ASSERT_EQ(type, 1);
-    deliver_(rsm::Command::decode(d));
-  }
-
-  std::string_view name() const override { return "PooledEcho"; }
-};
-
 TEST(NodeTest, PooledEncoderRoundTripsAndRecyclesBuffers) {
   sim::Simulator sim(7);
   std::map<NodeId, std::vector<rsm::Command>> delivered;
   Cluster cluster(
       sim, net::Topology::lan(3), ClusterConfig{},
       [](Env& env, Protocol::DeliverFn deliver) {
-        return std::make_unique<PooledEchoProtocol>(env, std::move(deliver));
+        return std::make_unique<EchoProtocol>(env, std::move(deliver));
       },
       [&](NodeId node, const rsm::Command& cmd) {
         delivered[node].push_back(cmd);
@@ -402,6 +381,44 @@ TEST(NodeTest, PooledEncoderRoundTripsAndRecyclesBuffers) {
   }
   // Steady state reuses released buffers instead of allocating fresh ones.
   EXPECT_GT(cluster.node(0).buffer_pool().reuses(), 0u);
+}
+
+TEST(NodeTest, BodyWithoutFrameHeaderIsRejected) {
+  Fixture f(2);
+  net::Encoder plain;
+  plain.put_u64(1);
+  EXPECT_THROW(f.cluster->node(0).send(1, 1, std::move(plain)),
+               std::logic_error);
+  EXPECT_THROW(f.cluster->node(0).broadcast(1, net::Encoder(), true),
+               std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// Delivery unbundling
+// ---------------------------------------------------------------------------
+
+TEST(ClusterUnbundleTest, CompositeReachesHookAsMembersInOpOrder) {
+  Fixture f(3);
+  rsm::Command batch;
+  batch.id = make_batch_cmd_id(1, 7);
+  batch.origin = 1;
+  batch.ops = {rsm::Op{3, 11, 30}, rsm::Op{5, 12, 50}, rsm::Op{9, 13, 90}};
+  f.cluster->node(1).protocol().propose(batch);
+  f.sim.run();
+  for (NodeId i = 0; i < 3; ++i) {
+    // The hook keeps copies: each must be its own member, not the last one.
+    const std::vector<rsm::Command>& got = f.delivered[i];
+    ASSERT_EQ(got.size(), batch.ops.size()) << "node " << i;
+    std::set<CmdId> ids;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k], rsm::batch_member(batch, k)) << "node " << i;
+      ASSERT_EQ(got[k].ops.size(), 1u);
+      EXPECT_EQ(got[k].ops[0], batch.ops[k]);
+      ids.insert(got[k].id);
+    }
+    EXPECT_EQ(ids.size(), batch.ops.size());
+    EXPECT_EQ(ids.count(batch.id), 0u);
+  }
 }
 
 }  // namespace

@@ -61,8 +61,7 @@ void ClockRsm::on_recover() {
   pending_exclusions_.clear();
   resync_mask_ = 0;
   for (NodeId q = 0; q < n_; ++q) excluded_[q] = false;
-  rec_.set_catchup_needed(true);
-  request_catchup();
+  rec_.request_log_catchup(*this, frontier_, delivered_, stats_);
   // Arm the rejoin fences: every peer's current clock may cover commands
   // whose propose/commit traffic died with the outage; catch-up must reach
   // at least the first clock heard from each live peer before normal
@@ -286,20 +285,10 @@ void ClockRsm::try_deliver() {
 // Rejoin catch-up
 // ---------------------------------------------------------------------------
 
-void ClockRsm::request_catchup() {
-  rec_.request_catchup([this](NodeId peer) {
-    if (stats_ != nullptr) ++stats_->catchup_requests;
-    send_catchup_request(peer, frontier_, delivered_.rolling_hash());
-  });
-}
-
 void ClockRsm::on_catchup_request(NodeId from, net::Decoder& d) {
-  const std::uint64_t req_frontier = d.get_varint();
-  const std::uint64_t their_hash = d.get_u64();
   rt::RecoveryDriver::serve_log_catchup(
-      *this, delivered_, dur_, from, req_frontier, their_hash, frontier_,
-      [this, req_frontier](
-          std::vector<std::pair<std::uint64_t, rsm::Command>>& extras) {
+      *this, delivered_, dur_, from, d, frontier_,
+      [this](std::uint64_t req_frontier, auto& extras) {
         // Committed-but-undelivered entries ride along: their kCommit
         // broadcasts predate the requester's return and were lost.
         for (const auto& [stamp, entry] : log_) {
@@ -324,12 +313,8 @@ void ClockRsm::on_catchup_request(NodeId from, net::Decoder& d) {
 
 void ClockRsm::on_catchup_reply(NodeId from, net::Decoder& d) {
   (void)from;
-  rsm::LogSnapshot chunk = rsm::LogSnapshot::decode(d);
-  if (chunk.from == frontier_ && chunk.prefix_hash != 0 &&
-      chunk.prefix_hash != delivered_.rolling_hash()) {
-    log::error("clockrsm: catch-up prefix hash mismatch — replicas have "
-               "diverged");
-  }
+  rsm::LogSnapshot chunk =
+      rt::RecoveryDriver::read_log_reply(d, frontier_, delivered_, "clockrsm");
   for (auto& [packed, cmd] : chunk.entries) {
     if (packed < frontier_) continue;  // already delivered here
     const Stamp stamp = unpack(packed);
@@ -387,34 +372,23 @@ void ClockRsm::on_catchup_reply(NodeId from, net::Decoder& d) {
 }
 
 void ClockRsm::on_catchup_snapshot(NodeId from, net::Decoder& d) {
-  rt::Protocol::CatchupSnapshot s = decode_catchup_snapshot(d);
-  if (!s.valid) {
-    log::error("clockrsm: catch-up snapshot from node ", from,
-               " failed its digest check — dropping");
-    return;
-  }
-  if (s.frontier <= frontier_) return;  // raced a chunked catch-up
-  if (dur_ != nullptr) {
-    dur_->install_snapshot(s.store, s.frontier, s.prefix_hash,
-                           s.delivered_count);
-  }
-  delivered_.set_base(s.frontier, s.prefix_hash);
-  frontier_ = s.frontier;
-  // Drop ALL entries stamped below the installed frontier, own ones
-  // included. The chunked reply path re-stamps own entries because the
-  // replayed suffix proves they were never delivered; the snapshot carries
-  // no per-stamp history — our command may already be folded into the
-  // store, and re-stamping it would deliver it a second time cluster-wide.
-  while (!log_.empty() && pack(log_.begin()->first) < frontier_) {
-    log_.erase(log_.begin());
-  }
-  env_.notify_snapshot_install(s.store, s.delivered_count);
-  maybe_complete_resyncs();
-  maybe_activate_exclusions();
-  // Everything newer than the snapshot still arrives the normal way.
-  rec_.set_catchup_needed(true);
-  request_catchup();
-  try_deliver();
+  const bool installed = rec_.install_log_snapshot(
+      *this, from, d, frontier_, delivered_, dur_, stats_, "clockrsm",
+      [this](std::uint64_t frontier) {
+        frontier_ = frontier;
+        // Drop ALL entries stamped below the installed frontier, own ones
+        // included. The chunked reply path re-stamps own entries because
+        // the replayed suffix proves they were never delivered; the
+        // snapshot carries no per-stamp history — our command may already
+        // be folded into the store, and re-stamping it would deliver it a
+        // second time cluster-wide.
+        while (!log_.empty() && pack(log_.begin()->first) < frontier_) {
+          log_.erase(log_.begin());
+        }
+        maybe_complete_resyncs();
+        maybe_activate_exclusions();
+      });
+  if (installed) try_deliver();
 }
 
 void ClockRsm::on_restore(storage::RecoveredState& st) {
@@ -448,15 +422,8 @@ void ClockRsm::on_restore(storage::RecoveredState& st) {
 void ClockRsm::catchup_tick() {
   env_.set_timer(cfg_.catchup_interval_us, [this] { catchup_tick(); });
   maybe_start_revocations();
-  rec_.tick_rounds(
-      env_.now(), cfg_.catchup_interval_us,
-      [this](NodeId dead) { maybe_decide_revocation(dead); },
-      [this](NodeId dead, const rt::RecoveryDriver::Round& round) {
-        net::Encoder e = env_.encoder();
-        e.put_u32(dead);
-        e.put_varint(round.anchor);
-        env_.broadcast(kRevokeQuery, std::move(e), /*include_self=*/false);
-      });
+  rec_.tick_rounds(*this, cfg_.catchup_interval_us, kRevokeQuery,
+                   [this](NodeId dead) { maybe_decide_revocation(dead); });
   // Re-drive own uncommitted proposals that have gone a full period without
   // committing: their kPropose may have been dropped by a crash on either
   // side or held at bay by acceptors that still suspected us. Peers whose
@@ -479,13 +446,12 @@ void ClockRsm::catchup_tick() {
   for (NodeId q = 0; q < n_; ++q) {
     if (((resync_mask_ >> q) & 1) == 0) continue;
     if (rec_.is_suspected(q)) continue;  // crashed again; FD owns it
-    if (stats_ != nullptr) ++stats_->catchup_requests;
-    send_catchup_request(q, frontier_, delivered_.rolling_hash());
+    rt::RecoveryDriver::send_log_request(*this, q, frontier_, delivered_,
+                                         stats_);
   }
   if (rec_.watchdog_tick(frontier_, !log_.empty()) ||
       !pending_exclusions_.empty()) {
-    rec_.set_catchup_needed(true);
-    request_catchup();
+    rec_.request_log_catchup(*this, frontier_, delivered_, stats_);
   }
 }
 
@@ -493,10 +459,8 @@ void ClockRsm::catchup_tick() {
 // Dead-node revocation
 // ---------------------------------------------------------------------------
 
-NodeId ClockRsm::designated_revoker() const { return rec_.designated_revoker(); }
-
 void ClockRsm::maybe_start_revocations() {
-  if (designated_revoker() != env_.id()) return;
+  if (rec_.designated_revoker() != env_.id()) return;
   if (rec_.catchup_needed()) return;  // anchor rounds at a caught-up frontier
   for (NodeId dead = 0; dead < n_; ++dead) {
     if (!rec_.is_suspected(dead)) continue;
@@ -520,45 +484,8 @@ void ClockRsm::collect_revoke_info(
 void ClockRsm::start_revocation(NodeId dead) {
   rt::RecoveryDriver::Round& round = rec_.open_round(dead, frontier_, env_.now());
   collect_revoke_info(dead, round.values);
-  net::Encoder e = env_.encoder();
-  e.put_u32(dead);
-  e.put_varint(round.anchor);
-  env_.broadcast(kRevokeQuery, std::move(e), /*include_self=*/false);
-  maybe_decide_revocation(dead);
-}
-
-void ClockRsm::handle_revoke_query(NodeId from, net::Decoder& d) {
-  const NodeId dead = d.get_u32();
-  const std::uint64_t anchor = d.get_varint();
-  std::map<std::uint64_t, rsm::Command> known;
-  collect_revoke_info(dead, known);
-  net::Encoder e = env_.encoder();
-  e.put_u32(dead);
-  e.put_varint(anchor);
-  e.put_varint(known.size());
-  for (const auto& [packed, cmd] : known) {
-    e.put_varint(packed);
-    cmd.encode(e);
-  }
-  env_.send(from, kRevokeInfo, std::move(e));
-}
-
-void ClockRsm::handle_revoke_info(NodeId from, net::Decoder& d) {
-  const NodeId dead = d.get_u32();
-  const std::uint64_t anchor = d.get_varint();
-  const std::uint64_t count = d.get_varint();
-  std::map<std::uint64_t, rsm::Command> reported;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t packed = d.get_varint();
-    reported.emplace(packed, rsm::Command::decode(d));
-  }
-  // The anchor rejects replies that answered an *earlier* round for the
-  // same target (possible when a partition delays them across the target's
-  // recover/re-crash): counting one would let the round decide without the
-  // responder's current entries.
-  if (rec_.record_report(dead, anchor, from, std::move(reported)) == nullptr) {
-    return;
-  }
+  rt::RecoveryDriver::send_revoke_query(*this, kRevokeQuery, dead,
+                                        round.anchor);
   maybe_decide_revocation(dead);
 }
 
@@ -617,8 +544,7 @@ void ClockRsm::apply_revoke_decision(
     } else {
       auto [it, inserted] = pending_exclusions_.emplace(dead, ref_frontier);
       if (!inserted && ref_frontier < it->second) it->second = ref_frontier;
-      rec_.set_catchup_needed(true);
-      request_catchup();
+      rec_.request_log_catchup(*this, frontier_, delivered_, stats_);
     }
   }
   try_deliver();
@@ -657,8 +583,8 @@ void ClockRsm::on_node_recovered(NodeId peer) {
   resync_mask_ |= 1ull << peer;
   resync_target_[peer] = 0;
   resync_buffer_[peer] = 0;
-  if (stats_ != nullptr) ++stats_->catchup_requests;
-  send_catchup_request(peer, frontier_, delivered_.rolling_hash());
+  rt::RecoveryDriver::send_log_request(*this, peer, frontier_, delivered_,
+                                       stats_);
   // The rejoined peer missed proposals and commits sent while it was down;
   // its delivered suffix comes back through catch-up, but our own entries
   // still in flight must be re-offered or it wedges below them. Only OWN
@@ -698,11 +624,17 @@ void ClockRsm::on_message(NodeId from, std::uint16_t type, net::Decoder& d) {
       try_deliver();
       break;
     case kRevokeQuery:
-      handle_revoke_query(from, d);
+      rt::RecoveryDriver::answer_revoke_query(
+          *this, kRevokeInfo, from, d,
+          [this](NodeId dead, std::uint64_t, auto& out) {
+            collect_revoke_info(dead, out);
+          });
       break;
-    case kRevokeInfo:
-      handle_revoke_info(from, d);
+    case kRevokeInfo: {
+      const NodeId dead = rec_.read_revoke_info(from, d);
+      if (dead != kNoNode) maybe_decide_revocation(dead);
       break;
+    }
     case kRevokeDecision:
       handle_revoke_decision(d);
       break;

@@ -73,6 +73,7 @@ class ClockRsm final : public rt::Protocol {
   Time known_clock(NodeId node) const { return clocks_[node]; }
   std::size_t undelivered() const { return log_.size(); }
   bool is_excluded(NodeId node) const { return excluded_[node]; }
+  std::uint64_t delivered_through() const { return frontier_; }
   const rsm::CommandLog& delivered_log() const { return delivered_; }
 
  private:
@@ -118,16 +119,12 @@ class ClockRsm final : public rt::Protocol {
   void handle_ack(NodeId from, net::Decoder& d);
   void handle_commit(net::Decoder& d);
   void handle_propose_dead(net::Decoder& d);
-  void handle_revoke_query(NodeId from, net::Decoder& d);
-  void handle_revoke_info(NodeId from, net::Decoder& d);
   void handle_revoke_decision(net::Decoder& d);
   void note_clock(NodeId node, Time value);
   void deliver_entry(const Stamp& stamp, Entry entry);
   void try_deliver();
   void clock_tick();
   void catchup_tick();
-  void request_catchup();
-  NodeId designated_revoker() const;
   void maybe_start_revocations();
   void start_revocation(NodeId dead);
   void maybe_decide_revocation(NodeId dead);

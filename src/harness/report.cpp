@@ -71,6 +71,18 @@ void print_figure_header(const std::string& figure,
             << "================================================================\n";
 }
 
+namespace {
+
+/// A run with consistency checking off has no verdict to report.
+const char* verdict_text(bool checked, bool consistent) {
+  return !checked ? "unchecked" : consistent ? "yes" : "NO";
+}
+const char* verdict_json(bool checked, bool consistent) {
+  return !checked ? "null" : consistent ? "true" : "false";
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // ASCII report renderers
 // ---------------------------------------------------------------------------
@@ -114,7 +126,8 @@ void print_report(const RunReport& r, std::ostream& os) {
            std::to_string(s.completed), Table::num(s.throughput_tps, 0),
            Table::ms(s.latency.mean()),
            Table::ms(static_cast<double>(s.latency.percentile(99))),
-           std::to_string(s.messages), s.consistent ? "yes" : "NO"});
+           std::to_string(s.messages),
+           verdict_text(s.consistency_checked, s.consistent)});
     }
     shards.print(os);
     os << "\nrouter: " << r.shards.size() << " groups, " << r.router.partition
@@ -152,7 +165,8 @@ void print_report(const RunReport& r, std::ostream& os) {
        << "  snapshots: " << r.proto.snapshots
        << "  truncated segments: " << r.proto.truncated_segments;
   }
-  os << "\nconsistent: " << (r.consistent ? "yes" : "NO") << "\n";
+  os << "\nconsistent: " << verdict_text(r.consistency_checked, r.consistent)
+     << "\n";
 }
 
 void print_diff(const RunReportDiff& d, std::ostream& os) {
@@ -290,7 +304,7 @@ std::string to_json(const RunReport& r) {
      << ",\"submitted\":" << r.submitted
      << ",\"throughput_tps\":" << json_num(r.throughput_tps)
      << ",\"messages\":" << r.messages << ",\"bytes\":" << r.bytes
-     << ",\"consistent\":" << (r.consistent ? "true" : "false")
+     << ",\"consistent\":" << verdict_json(r.consistency_checked, r.consistent)
      << ",\"latency_us\":";
   latency_json(os, r.total_latency);
   os << ",\"protocol\":";
@@ -360,7 +374,8 @@ std::string to_json(const RunReport& r) {
          << ",\"completed\":" << s.completed
          << ",\"throughput_tps\":" << json_num(s.throughput_tps)
          << ",\"messages\":" << s.messages << ",\"bytes\":" << s.bytes
-         << ",\"consistent\":" << (s.consistent ? "true" : "false")
+         << ",\"consistent\":"
+         << verdict_json(s.consistency_checked, s.consistent)
          << ",\"fd\":{\"suspicions\":" << s.fd_suspicions
          << ",\"retractions\":" << s.fd_retractions << "},\"latency_us\":";
       latency_json(os, s.latency);

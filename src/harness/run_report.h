@@ -87,6 +87,7 @@ struct ShardMetrics {
   stats::ProtocolStats proto;
   std::vector<stats::MetricsWindow> windows;
   bool consistent = true;
+  bool consistency_checked = true;  // see RunReport::consistency_checked
   std::uint64_t fd_suspicions = 0;
   std::uint64_t fd_retractions = 0;
 
@@ -126,6 +127,10 @@ struct RunReport {
   std::vector<StatsSample> samples;
 
   bool consistent = true;
+  /// False when the scenario turned consistency checking off: `consistent`
+  /// then carries no verdict, and the emitters print it as "unchecked"
+  /// (JSON null).
+  bool consistency_checked = true;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
 

@@ -815,6 +815,7 @@ RunReport run_scenario(const Scenario& s) {
   result.provenance.warmup = s.warmup;
   result.provenance.build = std::string(build_version());
   result.windows = plan_windows(s);
+  result.consistency_checked = s.check_consistency;
   if (sharded) {
     result.router.partition = std::string(to_string(s.shards.partition));
     result.router.multi_key = std::string(to_string(s.shards.multi_key));
@@ -822,6 +823,7 @@ RunReport run_scenario(const Scenario& s) {
     for (std::uint32_t g = 0; g < groups; ++g) {
       result.shards[g].group = g;
       result.shards[g].windows = result.windows;  // same slicing per group
+      result.shards[g].consistency_checked = s.check_consistency;
     }
   }
 

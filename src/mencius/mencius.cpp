@@ -59,8 +59,7 @@ void Mencius::on_recover() {
   // delivery. Until the final reply chunk arrives the watchdog keeps
   // retrying against rotating peers, so a crashed responder cannot strand
   // the rejoin.
-  rec_.set_catchup_needed(true);
-  request_catchup();
+  rec_.request_log_catchup(*this, next_deliver_, log_, stats_);
   // Arm the floor-rule fences: every peer's floor knowledge predating this
   // instant may refer to ACCEPTs that died in the outage, so floor skips
   // are suspended per owner until its first post-rejoin floor arrives and
@@ -437,20 +436,10 @@ void Mencius::try_deliver() {
 // Rejoin catch-up
 // ---------------------------------------------------------------------------
 
-void Mencius::request_catchup() {
-  rec_.request_catchup([this](NodeId peer) {
-    if (stats_ != nullptr) ++stats_->catchup_requests;
-    send_catchup_request(peer, next_deliver_, log_.rolling_hash());
-  });
-}
-
 void Mencius::on_catchup_request(NodeId from, net::Decoder& d) {
-  const std::uint64_t frontier = d.get_varint();
-  const std::uint64_t their_hash = d.get_u64();
   rt::RecoveryDriver::serve_log_catchup(
-      *this, log_, dur_, from, frontier, their_hash, next_deliver_,
-      [this, frontier](
-          std::vector<std::pair<std::uint64_t, rsm::Command>>& entries) {
+      *this, log_, dur_, from, d, next_deliver_,
+      [this](std::uint64_t frontier, auto& entries) {
         // Commands committed here but not yet delivered ride along: their
         // COMMIT broadcasts predate the requester's return and were lost.
         for (const auto& [slot, cmd] : committed_) {
@@ -480,12 +469,8 @@ void Mencius::on_catchup_request(NodeId from, net::Decoder& d) {
 
 void Mencius::on_catchup_reply(NodeId from, net::Decoder& d) {
   (void)from;
-  rsm::LogSnapshot chunk = rsm::LogSnapshot::decode(d);
-  if (chunk.from == next_deliver_ && chunk.prefix_hash != 0 &&
-      chunk.prefix_hash != log_.rolling_hash()) {
-    log::error("mencius: catch-up prefix hash mismatch at slot ",
-               next_deliver_, " — replicas have diverged");
-  }
+  rsm::LogSnapshot chunk =
+      rt::RecoveryDriver::read_log_reply(d, next_deliver_, log_, "mencius");
   for (auto& [slot, cmd] : chunk.entries) {
     if (slot < next_deliver_) continue;  // already delivered here
     if (committed_.emplace(slot, std::move(cmd)).second &&
@@ -504,48 +489,32 @@ void Mencius::on_catchup_reply(NodeId from, net::Decoder& d) {
 }
 
 void Mencius::on_catchup_snapshot(NodeId from, net::Decoder& d) {
-  rt::Protocol::CatchupSnapshot s = decode_catchup_snapshot(d);
-  if (!s.valid) {
-    log::error("mencius: catch-up snapshot from node ", from,
-               " failed its digest check — dropping");
-    return;
-  }
-  if (s.frontier <= next_deliver_) return;  // raced a chunked catch-up
-  if (dur_ != nullptr) {
-    dur_->install_snapshot(s.store, s.frontier, s.prefix_hash,
-                           s.delivered_count);
-  }
-  // The delivered prefix below the snapshot frontier is now represented
-  // only by its hash: rebase the log and jump the delivery cursor. Local
-  // leftovers below the frontier are resolved by definition — committed and
-  // accepted entries were delivered or skipped at the responder.
-  log_.set_base(s.frontier, s.prefix_hash);
-  next_deliver_ = s.frontier;
-  if (s.frontier > skip_below_) skip_below_ = s.frontier;
-  committed_.erase(committed_.begin(), committed_.lower_bound(next_deliver_));
-  for (auto it = accepted_slots_.begin(); it != accepted_slots_.end();) {
-    if (it->first < next_deliver_) {
-      it = accepted_slots_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Own pending proposals below the frontier are NOT parked for re-proposal:
-  // unlike a kSlotRevoked bounce (which proves the slot was resolved against
-  // us), the snapshot compacted the per-slot history away — a quorum may
-  // have committed our slot and folded the command into the store, and
-  // re-proposing it would deliver it twice cluster-wide. Dropping is safe
-  // either way: a delivered command already took effect, an undelivered one
-  // died with the crash like any other in-flight request.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    it = it->first < next_deliver_ ? pending_.erase(it) : std::next(it);
-  }
-  skip_own_slots_below(next_deliver_);
-  env_.notify_snapshot_install(s.store, s.delivered_count);
-  // Everything newer than the snapshot still has to come the normal way.
-  rec_.set_catchup_needed(true);
-  request_catchup();
-  try_deliver();
+  const bool installed = rec_.install_log_snapshot(
+      *this, from, d, next_deliver_, log_, dur_, stats_, "mencius",
+      [this](std::uint64_t frontier) {
+        // Jump the delivery cursor. Local leftovers below the frontier are
+        // resolved by definition — committed and accepted entries were
+        // delivered or skipped at the responder.
+        next_deliver_ = frontier;
+        if (frontier > skip_below_) skip_below_ = frontier;
+        committed_.erase(committed_.begin(), committed_.lower_bound(frontier));
+        for (auto it = accepted_slots_.begin(); it != accepted_slots_.end();) {
+          it = it->first < frontier ? accepted_slots_.erase(it) : std::next(it);
+        }
+        // Own pending proposals below the frontier are NOT parked for
+        // re-proposal: unlike a kSlotRevoked bounce (which proves the slot
+        // was resolved against us), the snapshot compacted the per-slot
+        // history away — a quorum may have committed our slot and folded
+        // the command into the store, and re-proposing it would deliver it
+        // twice cluster-wide. Dropping is safe either way: a delivered
+        // command already took effect, an undelivered one died with the
+        // crash like any other in-flight request.
+        for (auto it = pending_.begin(); it != pending_.end();) {
+          it = it->first < frontier ? pending_.erase(it) : std::next(it);
+        }
+        skip_own_slots_below(frontier);
+      });
+  if (installed) try_deliver();
 }
 
 void Mencius::on_restore(storage::RecoveredState& st) {
@@ -583,15 +552,8 @@ void Mencius::catchup_tick() {
   // Retry revocation rounds whose responders changed or whose traffic was
   // lost: the driver recomputes who must answer (a responder may have
   // crashed since), re-checks the decide gate, and re-queries survivors.
-  rec_.tick_rounds(
-      env_.now(), cfg_.catchup_interval_us,
-      [this](NodeId dead) { maybe_decide_revocation(dead); },
-      [this](NodeId dead, const rt::RecoveryDriver::Round& round) {
-        net::Encoder e = env_.encoder();
-        e.put_u32(dead);
-        e.put_varint(round.anchor);
-        env_.broadcast(kRevokeQuery, std::move(e), /*include_self=*/false);
-      });
+  rec_.tick_rounds(*this, cfg_.catchup_interval_us, kRevokeQuery,
+                   [this](NodeId dead) { maybe_decide_revocation(dead); });
   drain_parked();
   // Re-drive pending slots that have gone a full watchdog period without
   // committing: their ACCEPTs may have been dropped by a crash on either
@@ -617,7 +579,7 @@ void Mencius::catchup_tick() {
   // request so an idle cluster stays quiet.
   if (rec_.watchdog_tick(next_deliver_,
                          !committed_.empty() || !accepted_slots_.empty())) {
-    request_catchup();
+    rec_.request_log_catchup(*this, next_deliver_, log_, stats_);
   }
 }
 
@@ -637,10 +599,8 @@ void Mencius::drain_parked() {
 // Dead-node slot revocation
 // ---------------------------------------------------------------------------
 
-NodeId Mencius::designated_revoker() const { return rec_.designated_revoker(); }
-
 void Mencius::maybe_start_revocations() {
-  if (designated_revoker() != env_.id()) return;
+  if (rec_.designated_revoker() != env_.id()) return;
   // A revoker that is itself catching up would anchor the round at a stale
   // frontier and drag the whole delivered history into the reports; let the
   // watchdog start the round once state transfer finishes.
@@ -684,42 +644,7 @@ void Mencius::start_revocation(NodeId dead) {
   const std::uint64_t from = rec_.revoked_through(dead, next_deliver_);
   rt::RecoveryDriver::Round& round = rec_.open_round(dead, from, env_.now());
   collect_revoke_info(dead, from, round.values);
-  net::Encoder e = env_.encoder();
-  e.put_u32(dead);
-  e.put_varint(from);
-  env_.broadcast(kRevokeQuery, std::move(e), /*include_self=*/false);
-  maybe_decide_revocation(dead);
-}
-
-void Mencius::handle_revoke_query(NodeId from, net::Decoder& d) {
-  const NodeId dead = d.get_u32();
-  const std::uint64_t qfrom = d.get_varint();
-  std::map<std::uint64_t, rsm::Command> known;
-  collect_revoke_info(dead, qfrom, known);
-  net::Encoder e = env_.encoder();
-  e.put_u32(dead);
-  e.put_varint(qfrom);
-  e.put_varint(known.size());
-  for (const auto& [slot, cmd] : known) {
-    e.put_varint(slot);
-    cmd.encode(e);
-  }
-  env_.send(from, kRevokeInfo, std::move(e));
-}
-
-void Mencius::handle_revoke_info(NodeId from, net::Decoder& d) {
-  const NodeId dead = d.get_u32();
-  const std::uint64_t qfrom = d.get_varint();
-  const std::uint64_t count = d.get_varint();
-  // Decode fully even when the round is gone: the decoder owns the buffer.
-  std::map<std::uint64_t, rsm::Command> reported;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t slot = d.get_varint();
-    reported.emplace(slot, rsm::Command::decode(d));
-  }
-  if (rec_.record_report(dead, qfrom, from, std::move(reported)) == nullptr) {
-    return;  // no open round, or a stale reply for a previous anchor
-  }
+  rt::RecoveryDriver::send_revoke_query(*this, kRevokeQuery, dead, from);
   maybe_decide_revocation(dead);
 }
 
@@ -890,19 +815,24 @@ void Mencius::on_message(NodeId from, std::uint16_t type, net::Decoder& d) {
       if (floor > next_own_slot_ + 2 * n_) {
         skip_own_slots_below(floor);
         if (!rec_.catchup_needed()) {
-          rec_.set_catchup_needed(true);
-          request_catchup();
+          rec_.request_log_catchup(*this, next_deliver_, log_, stats_);
         }
       }
       try_deliver();
       break;
     }
     case kRevokeQuery:
-      handle_revoke_query(from, d);
+      rt::RecoveryDriver::answer_revoke_query(
+          *this, kRevokeInfo, from, d,
+          [this](NodeId dead, std::uint64_t anchor, auto& out) {
+            collect_revoke_info(dead, anchor, out);
+          });
       break;
-    case kRevokeInfo:
-      handle_revoke_info(from, d);
+    case kRevokeInfo: {
+      const NodeId dead = rec_.read_revoke_info(from, d);
+      if (dead != kNoNode) maybe_decide_revocation(dead);
       break;
+    }
     case kRevokeDecision:
       handle_revoke_decision(d);
       break;

@@ -103,8 +103,6 @@ class Mencius final : public rt::Protocol {
   void handle_accept(NodeId from, net::Decoder& d);
   void handle_accepted(NodeId from, net::Decoder& d);
   void handle_commit(NodeId from, net::Decoder& d);
-  void handle_revoke_query(NodeId from, net::Decoder& d);
-  void handle_revoke_info(NodeId from, net::Decoder& d);
   void handle_revoke_decision(net::Decoder& d);
   void handle_slot_revoked(net::Decoder& d);
   void handle_resync_request(NodeId from);
@@ -127,12 +125,10 @@ class Mencius final : public rt::Protocol {
   void try_deliver();
   void heartbeat();
   void catchup_tick();
-  void request_catchup();
   /// Collects this node's knowledge of `dead`-owned slots >= `from`
   /// (committed, delivered or accepted values) into `out`.
   void collect_revoke_info(NodeId dead, std::uint64_t from,
                            std::map<std::uint64_t, rsm::Command>& out) const;
-  NodeId designated_revoker() const;
   void maybe_start_revocations();
   void start_revocation(NodeId dead);
   void maybe_decide_revocation(NodeId dead);

@@ -145,8 +145,7 @@ void MultiPaxos::on_recover() {
     // where every catch-up attempt failed (it should never fire now that
     // the watchdog retries against rotating peers).
     resync_ = true;
-    rec_.set_catchup_needed(true);
-    request_catchup();
+    rec_.request_log_catchup(*this, deliver_next_, log_, stats_);
     env_.set_timer(cfg_.resync_grace_us, [this] {
       if (!resync_) return;
       resync_ = false;
@@ -169,8 +168,7 @@ void MultiPaxos::on_recover() {
   // leader's own delivery frontier also lags by the outage: entries the
   // cluster learned only through the ring were delivered nowhere, but any
   // delivered state a follower holds comes back through catch-up.
-  rec_.set_catchup_needed(true);
-  request_catchup();
+  rec_.request_log_catchup(*this, deliver_next_, log_, stats_);
   for (auto& [index, p] : pending_) {
     p.ack_mask = 1ull << env_.id();
   }
@@ -223,20 +221,10 @@ void MultiPaxos::on_node_recovered(NodeId peer) {
 // Rejoin catch-up
 // ---------------------------------------------------------------------------
 
-void MultiPaxos::request_catchup() {
-  rec_.request_catchup([this](NodeId peer) {
-    if (stats_ != nullptr) ++stats_->catchup_requests;
-    send_catchup_request(peer, deliver_next_, log_.rolling_hash());
-  });
-}
-
 void MultiPaxos::on_catchup_request(NodeId from, net::Decoder& d) {
-  const std::uint64_t frontier = d.get_varint();
-  const std::uint64_t their_hash = d.get_u64();
   rt::RecoveryDriver::serve_log_catchup(
-      *this, log_, dur_, from, frontier, their_hash, deliver_next_,
-      [this, frontier](
-          std::vector<std::pair<std::uint64_t, rsm::Command>>& entries) {
+      *this, log_, dur_, from, d, deliver_next_,
+      [this](std::uint64_t frontier, auto& entries) {
         // Committed-but-undelivered indices ride along on the final chunk.
         for (const auto& [index, cmd] : committed_) {
           if (index >= frontier) entries.emplace_back(index, cmd);
@@ -247,12 +235,8 @@ void MultiPaxos::on_catchup_request(NodeId from, net::Decoder& d) {
 
 void MultiPaxos::on_catchup_reply(NodeId from, net::Decoder& d) {
   (void)from;
-  rsm::LogSnapshot chunk = rsm::LogSnapshot::decode(d);
-  if (chunk.from == deliver_next_ && chunk.prefix_hash != 0 &&
-      chunk.prefix_hash != log_.rolling_hash()) {
-    log::error("multipaxos: catch-up prefix hash mismatch at index ",
-               deliver_next_, " — replicas have diverged");
-  }
+  rsm::LogSnapshot chunk = rt::RecoveryDriver::read_log_reply(
+      d, deliver_next_, log_, "multipaxos");
   for (auto& [index, cmd] : chunk.entries) {
     if (index < deliver_next_) continue;
     if (committed_.emplace(index, std::move(cmd)).second &&
@@ -268,25 +252,14 @@ void MultiPaxos::on_catchup_reply(NodeId from, net::Decoder& d) {
 }
 
 void MultiPaxos::on_catchup_snapshot(NodeId from, net::Decoder& d) {
-  rt::Protocol::CatchupSnapshot s = decode_catchup_snapshot(d);
-  if (!s.valid) {
-    log::error("multipaxos: catch-up snapshot from node ", from,
-               " failed its digest check — dropping");
-    return;
-  }
-  if (s.frontier <= deliver_next_) return;  // raced a chunked catch-up
-  if (dur_ != nullptr) {
-    dur_->install_snapshot(s.store, s.frontier, s.prefix_hash,
-                           s.delivered_count);
-  }
-  log_.set_base(s.frontier, s.prefix_hash);
-  deliver_next_ = s.frontier;
-  committed_.erase(committed_.begin(), committed_.lower_bound(deliver_next_));
-  env_.notify_snapshot_install(s.store, s.delivered_count);
-  resync_ = false;  // no gap left below the installed frontier
-  rec_.set_catchup_needed(true);
-  request_catchup();
-  try_deliver();
+  const bool installed = rec_.install_log_snapshot(
+      *this, from, d, deliver_next_, log_, dur_, stats_, "multipaxos",
+      [this](std::uint64_t frontier) {
+        deliver_next_ = frontier;
+        committed_.erase(committed_.begin(), committed_.lower_bound(frontier));
+        resync_ = false;  // no gap left below the installed frontier
+      });
+  if (installed) try_deliver();
 }
 
 void MultiPaxos::on_restore(storage::RecoveredState& st) {
@@ -317,7 +290,7 @@ void MultiPaxos::catchup_tick() {
   // indices in between (their COMMITs were dropped while it was down or
   // partitioned): fetch them instead of waiting for the grace backstop.
   if (rec_.watchdog_tick(deliver_next_, !committed_.empty())) {
-    request_catchup();
+    rec_.request_log_catchup(*this, deliver_next_, log_, stats_);
   }
 }
 

@@ -83,7 +83,6 @@ class MultiPaxos final : public rt::Protocol {
   void replay_recent_commits(NodeId peer);
   static constexpr NodeId kAllPeers = kNoNode;
   void catchup_tick();
-  void request_catchup();
 
   MultiPaxosConfig cfg_;
   stats::ProtocolStats* stats_;

@@ -56,14 +56,6 @@ Protocol::CatchupSnapshot Protocol::decode_catchup_snapshot(net::Decoder& d) {
   return s;
 }
 
-void Protocol::send_catchup_request(NodeId to, std::uint64_t frontier,
-                                    std::uint64_t prefix_hash) {
-  net::Encoder e = env_.encoder();
-  e.put_varint(frontier);
-  e.put_u64(prefix_hash);
-  env_.send(to, kCatchupRequestType, std::move(e));
-}
-
 rsm::Command Protocol::make_composite(std::vector<rsm::Command>& cmds) {
   rsm::Command out;
   out.id = env_.fresh_batch_id();

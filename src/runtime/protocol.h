@@ -147,10 +147,10 @@ class Protocol {
 
   /// State-transfer hooks (kCatchupRequestType / kCatchupReplyType frames,
   /// routed here by the node runtime). A lagging node sends a request naming
-  /// its delivery frontier (see send_catchup_request); a live peer answers
-  /// with the missing committed suffix as chunked rsm::LogSnapshot frames,
-  /// which the requester replays through its normal delivery path. Default:
-  /// the protocol has no state transfer and ignores the frames.
+  /// its delivery frontier (RecoveryDriver::send_log_request); a live peer
+  /// answers with the missing committed suffix as chunked rsm::LogSnapshot
+  /// frames, which the requester replays through its normal delivery path.
+  /// Default: the protocol has no state transfer and ignores the frames.
   virtual void on_catchup_request(NodeId from, net::Decoder& d);
   virtual void on_catchup_reply(NodeId from, net::Decoder& d);
 
@@ -171,13 +171,6 @@ class Protocol {
  protected:
   /// Merges client commands into one composite command with a fresh id.
   rsm::Command make_composite(std::vector<rsm::Command>& cmds);
-
-  /// Sends the shared catch-up request frame: this node's delivery frontier
-  /// (the first order index it has not resolved) and the rolling hash of its
-  /// delivered prefix, so the responder can verify the histories agree
-  /// before shipping the suffix.
-  void send_catchup_request(NodeId to, std::uint64_t frontier,
-                            std::uint64_t prefix_hash);
 
   /// Sends the shared snapshot frame (kCatchupSnapshotType): the responder's
   /// store contents as of `frontier`, with the prefix hash and digest the
@@ -201,8 +194,8 @@ class Protocol {
   DeliverFn deliver_;
 
  private:
-  /// The shared recovery driver serves chunked log catch-up on a protocol's
-  /// behalf (runtime/recovery_driver.h) and needs the snapshot send helper.
+  /// The shared recovery driver frames log catch-up and the revocation
+  /// exchange on a protocol's behalf (runtime/recovery_driver.h).
   friend class RecoveryDriver;
 };
 

@@ -85,8 +85,9 @@ RecoveryDriver::Round RecoveryDriver::close_round(NodeId dead) {
 }
 
 void RecoveryDriver::tick_rounds(
-    Time now, Time period, const std::function<void(NodeId dead)>& try_decide,
-    const std::function<void(NodeId dead, const Round&)>& requery) {
+    Protocol& self, Time period, std::uint16_t query_type,
+    const std::function<void(NodeId dead)>& try_decide) {
+  const Time now = self.env_.now();
   // Snapshot the keys: try_decide may close (erase) the round it decides.
   std::vector<NodeId> deads;
   deads.reserve(rounds_.size());
@@ -106,7 +107,7 @@ void RecoveryDriver::tick_rounds(
     it = rounds_.find(dead);
     if (it == rounds_.end()) continue;  // decided and closed
     it->second.last_query = now;
-    requery(dead, it->second);
+    send_revoke_query(self, query_type, dead, it->second.anchor);
   }
 }
 
@@ -157,14 +158,36 @@ const std::vector<RecoveryDriver::Range>& RecoveryDriver::revoked_ranges(
   return ranges_[owner];
 }
 
+void RecoveryDriver::send_log_request(Protocol& self, NodeId peer,
+                                      std::uint64_t frontier,
+                                      const rsm::CommandLog& log,
+                                      stats::ProtocolStats* stats) {
+  if (stats != nullptr) ++stats->catchup_requests;
+  net::Encoder e = self.env_.encoder();
+  e.put_varint(frontier);
+  e.put_u64(log.rolling_hash());
+  self.env_.send(peer, kCatchupRequestType, std::move(e));
+}
+
+void RecoveryDriver::request_log_catchup(Protocol& self,
+                                         std::uint64_t frontier,
+                                         const rsm::CommandLog& log,
+                                         stats::ProtocolStats* stats) {
+  catchup_needed_ = true;
+  request_catchup([&](NodeId peer) {
+    send_log_request(self, peer, frontier, log, stats);
+  });
+}
+
 void RecoveryDriver::serve_log_catchup(
     Protocol& self, const rsm::CommandLog& log, storage::Durability* dur,
-    NodeId from, std::uint64_t frontier, std::uint64_t their_hash,
-    std::uint64_t resolved_through,
-    const std::function<
-        void(std::vector<std::pair<std::uint64_t, rsm::Command>>&)>&
+    NodeId from, net::Decoder& request, std::uint64_t resolved_through,
+    const std::function<void(
+        std::uint64_t, std::vector<std::pair<std::uint64_t, rsm::Command>>&)>&
         append_extras,
     stats::ProtocolStats* stats, const char* who) {
+  const std::uint64_t frontier = request.get_varint();
+  const std::uint64_t their_hash = request.get_u64();
   Env& env = self.env_;
   if (dur != nullptr && frontier < log.base_index()) {
     // The requester is behind this node's compaction horizon: the entries
@@ -204,7 +227,7 @@ void RecoveryDriver::serve_log_catchup(
         running_hash = rsm::CommandLog::mix(running_hash, idx, c.id);
       }
     }
-    if (chunk.done) append_extras(chunk.entries);
+    if (chunk.done) append_extras(frontier, chunk.entries);
     net::Encoder e = env.encoder();
     chunk.encode(e);
     env.send(from, kCatchupReplyType, std::move(e));
@@ -212,6 +235,91 @@ void RecoveryDriver::serve_log_catchup(
     if (chunk.done) break;
     pos = chunk.through;
   }
+}
+
+rsm::LogSnapshot RecoveryDriver::read_log_reply(net::Decoder& d,
+                                                std::uint64_t frontier,
+                                                const rsm::CommandLog& log,
+                                                const char* who) {
+  rsm::LogSnapshot chunk = rsm::LogSnapshot::decode(d);
+  if (chunk.from == frontier && chunk.prefix_hash != 0 &&
+      chunk.prefix_hash != log.rolling_hash()) {
+    log::error(who, ": catch-up prefix hash mismatch at index ", frontier,
+               " — replicas have diverged");
+  }
+  return chunk;
+}
+
+bool RecoveryDriver::install_log_snapshot(
+    Protocol& self, NodeId from, net::Decoder& d, std::uint64_t frontier,
+    rsm::CommandLog& log, storage::Durability* dur,
+    stats::ProtocolStats* stats, const char* who,
+    const std::function<void(std::uint64_t)>& rebase) {
+  Protocol::CatchupSnapshot s = Protocol::decode_catchup_snapshot(d);
+  if (!s.valid) {
+    log::error(who, ": catch-up snapshot from node ", from,
+               " failed its digest check — dropping");
+    return false;
+  }
+  if (s.frontier <= frontier) return false;  // raced a chunked catch-up
+  if (dur != nullptr) {
+    dur->install_snapshot(s.store, s.frontier, s.prefix_hash,
+                          s.delivered_count);
+  }
+  // The delivered prefix below the snapshot frontier is now represented
+  // only by its hash.
+  log.set_base(s.frontier, s.prefix_hash);
+  rebase(s.frontier);
+  self.env_.notify_snapshot_install(s.store, s.delivered_count);
+  // Everything newer than the snapshot still has to come the normal way.
+  request_log_catchup(self, s.frontier, log, stats);
+  return true;
+}
+
+void RecoveryDriver::send_revoke_query(Protocol& self,
+                                       std::uint16_t query_type, NodeId dead,
+                                       std::uint64_t anchor) {
+  net::Encoder e = self.env_.encoder();
+  e.put_u32(dead);
+  e.put_varint(anchor);
+  self.env_.broadcast(query_type, std::move(e), /*include_self=*/false);
+}
+
+void RecoveryDriver::answer_revoke_query(
+    Protocol& self, std::uint16_t info_type, NodeId from, net::Decoder& d,
+    const std::function<void(NodeId, std::uint64_t,
+                             std::map<std::uint64_t, rsm::Command>&)>&
+        collect) {
+  const NodeId dead = d.get_u32();
+  const std::uint64_t anchor = d.get_varint();
+  std::map<std::uint64_t, rsm::Command> known;
+  collect(dead, anchor, known);
+  net::Encoder e = self.env_.encoder();
+  e.put_u32(dead);
+  e.put_varint(anchor);
+  e.put_varint(known.size());
+  for (const auto& [index, cmd] : known) {
+    e.put_varint(index);
+    cmd.encode(e);
+  }
+  self.env_.send(from, info_type, std::move(e));
+}
+
+NodeId RecoveryDriver::read_revoke_info(NodeId from, net::Decoder& d) {
+  const NodeId dead = d.get_u32();
+  const std::uint64_t anchor = d.get_varint();
+  const std::uint64_t count = d.get_varint();
+  // Decode fully even when the round is gone: the decoder owns the buffer.
+  std::map<std::uint64_t, rsm::Command> reported;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t index = d.get_varint();
+    reported.emplace(index, rsm::Command::decode(d));
+  }
+  // The anchor rejects replies to an *earlier* round for the same target
+  // (a partition can delay them across its recover/re-crash).
+  return record_report(dead, anchor, from, std::move(reported)) != nullptr
+             ? dead
+             : kNoNode;
 }
 
 }  // namespace caesar::rt

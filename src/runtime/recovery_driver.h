@@ -1,23 +1,27 @@
-// Shared recovery driver: the crash/rejoin machinery every protocol needs.
+// Shared recovery driver: the crash/rejoin machinery every protocol needs,
+// written once and driven with each protocol's own state and hooks.
 //
-// Before this existed, three protocols (Mencius, Multi-Paxos, Clock-RSM)
-// each carried private copies of the same three mechanisms, and the
-// fast-decision protocols (CAESAR, EPaxos) had none — their rejoined
-// replicas silently omitted whatever was delivered during the outage. The
-// driver extracts the machinery once so all five drive it with
-// protocol-specific hooks:
-//
+// Every protocol with state transfer (all but M2Paxos) shares:
 //   * catch-up rotor — a rejoining (or stalled) node requests the state it
 //     missed from rotating live peers, so one crashed responder costs one
 //     watchdog period instead of stranding the rejoin;
 //   * progress watchdog — detects a stalled delivery frontier with evidence
-//     of a backlog and re-arms the catch-up request;
-//   * designated-revoker rounds — one designated node (lowest non-suspected
-//     id, so concurrent revokers cannot reach conflicting verdicts) gathers
-//     every live peer's knowledge of a dead node's in-flight consensus
-//     indices and decides commit-or-skip for a bounded index range;
+//     of a backlog and re-arms the catch-up request.
+// The log protocols (Mencius, Multi-Paxos, Clock-RSM) also share the whole
+// log catch-up wire path: the request frame, the chunked suffix reply and
+// its prefix-hash check, and the snapshot-then-suffix install. Mencius and
+// Clock-RSM share:
+//   * designated-revoker rounds and their query/answer exchange — one
+//     designated node (lowest non-suspected id, so concurrent revokers
+//     cannot reach conflicting verdicts) gathers every live peer's
+//     knowledge of a dead node's in-flight consensus indices and decides
+//     commit-or-skip for a bounded index range;
+// and Mencius alone records
 //   * revoked index ranges — the quorum-backed verdicts those rounds
 //     produce, recorded permanently per owner.
+// The instance-space protocols (CAESAR, EPaxos) frame their own catch-up
+// (instance sets with no prefix hash) and use the news-free-round latch
+// policy below instead.
 //
 // The ranges are the fix for a divergence the triplicated code carried
 // (the Mencius seed-277 fuzz repro): verdicts used to be *unbounded*
@@ -157,10 +161,9 @@ class RecoveryDriver {
   /// recompute who must answer (a responder may have crashed since), give
   /// the protocol a chance to decide (`try_decide` typically calls
   /// round_complete/close_round), and — when the round survived — re-issue
-  /// its query via `requery`.
-  void tick_rounds(Time now, Time period,
-                   const std::function<void(NodeId dead)>& try_decide,
-                   const std::function<void(NodeId dead, const Round&)>& requery);
+  /// its query (send_revoke_query).
+  void tick_rounds(Protocol& self, Time period, std::uint16_t query_type,
+                   const std::function<void(NodeId dead)>& try_decide);
 
   // --- permanently revoked index ranges ----------------------------------
   /// Records the quorum-backed verdict "owner's indices in [from, upto) are
@@ -179,22 +182,69 @@ class RecoveryDriver {
   /// All ranges recorded against `owner`, ascending and disjoint.
   const std::vector<Range>& revoked_ranges(NodeId owner) const;
 
-  // --- serve-side chunked log catch-up ------------------------------------
-  /// The shared responder body for index-ordered log protocols: verifies the
-  /// requester's prefix hash, serves the store snapshot when the requester
-  /// is behind the compaction horizon (snapshot-then-suffix), else streams
-  /// the committed suffix as chunked rsm::LogSnapshot frames with an
-  /// incrementally carried per-chunk hash. `append_extras` adds
-  /// committed-but-undelivered entries to the final chunk (their commit
-  /// broadcasts predate the requester's return and were lost). `who` labels
-  /// divergence errors.
+  // --- log-protocol catch-up ----------------------------------------------
+  // The index-ordered log protocols share one wire path: the request carries
+  // the requester's delivery frontier and the rolling hash of its delivered
+  // log; replies are chunked rsm::LogSnapshot frames, or a store snapshot
+  // when the requester is behind the responder's compaction horizon. Each
+  // call takes the protocol's own log state.
+
+  /// Sends the request frame to `peer` and counts it in `stats`.
+  static void send_log_request(Protocol& self, NodeId peer,
+                               std::uint64_t frontier,
+                               const rsm::CommandLog& log,
+                               stats::ProtocolStats* stats);
+  /// Latches catchup_needed and sends the request to the next live peer on
+  /// the rotor.
+  void request_log_catchup(Protocol& self, std::uint64_t frontier,
+                           const rsm::CommandLog& log,
+                           stats::ProtocolStats* stats);
+
+  /// The responder: decodes the request and checks the requester's prefix
+  /// hash; serves the store snapshot when the requester is behind the
+  /// compaction horizon, else streams the committed suffix as chunks, each
+  /// stamped with the hash below its own start. `append_extras(frontier,
+  /// entries)` adds committed-but-undelivered entries at or above the
+  /// requested frontier to the final chunk (their commit broadcasts predate
+  /// the requester's return and were lost). `who` labels errors.
   static void serve_log_catchup(
       Protocol& self, const rsm::CommandLog& log, storage::Durability* dur,
-      NodeId from, std::uint64_t frontier, std::uint64_t their_hash,
-      std::uint64_t resolved_through,
+      NodeId from, net::Decoder& request, std::uint64_t resolved_through,
       const std::function<void(
+          std::uint64_t frontier,
           std::vector<std::pair<std::uint64_t, rsm::Command>>&)>& append_extras,
       stats::ProtocolStats* stats, const char* who);
+
+  /// Decodes one reply chunk; logs a divergence when a chunk starting at our
+  /// `frontier` carries a prefix hash other than ours.
+  static rsm::LogSnapshot read_log_reply(net::Decoder& d,
+                                         std::uint64_t frontier,
+                                         const rsm::CommandLog& log,
+                                         const char* who);
+
+  /// Decodes a store-snapshot frame and, when its digest checks and it lies
+  /// above `frontier`, installs it: durable store, log base,
+  /// `rebase(new_frontier)` for the protocol's own state, the harness
+  /// notify, then a request for the suffix. Returns whether it installed.
+  bool install_log_snapshot(
+      Protocol& self, NodeId from, net::Decoder& d, std::uint64_t frontier,
+      rsm::CommandLog& log, storage::Durability* dur,
+      stats::ProtocolStats* stats, const char* who,
+      const std::function<void(std::uint64_t new_frontier)>& rebase);
+
+  // --- revocation exchange (the protocol's own query/info tags) -----------
+  /// Broadcasts a round's query: the dead node and the round anchor.
+  static void send_revoke_query(Protocol& self, std::uint16_t query_type,
+                                NodeId dead, std::uint64_t anchor);
+  /// Decodes a query and sends back what `collect(dead, anchor, out)` knows.
+  static void answer_revoke_query(
+      Protocol& self, std::uint16_t info_type, NodeId from, net::Decoder& d,
+      const std::function<void(NodeId dead, std::uint64_t anchor,
+                               std::map<std::uint64_t, rsm::Command>&)>&
+          collect);
+  /// Decodes an answer and records it (record_report). Returns the dead
+  /// node whose round took it, or kNoNode.
+  NodeId read_revoke_info(NodeId from, net::Decoder& d);
 
  private:
   NodeId self_;

@@ -173,7 +173,7 @@ void run_fuzz(ProtocolKind kind, std::uint64_t seed) {
 
   if (!why.empty()) {
     record_repro(kind, seed, fc.shape, why);
-    FAIL() << why;
+    ADD_FAILURE() << why;
   }
 }
 
@@ -186,40 +186,25 @@ std::uint64_t seed_count(std::uint64_t dflt) {
   return v > 0 ? static_cast<std::uint64_t>(v) : dflt;
 }
 
-TEST(FaultScheduleFuzz, Mencius) {
-  for (std::uint64_t seed = 1; seed <= seed_count(14); ++seed) {
-    run_fuzz(ProtocolKind::kMencius, seed);
-    if (::testing::Test::HasFatalFailure()) return;
+/// Runs every seed, even after a failure: each failing seed appends its own
+/// repro line, so one run reports the whole failing set.
+void run_seeds(ProtocolKind kind, std::uint64_t dflt) {
+  for (std::uint64_t seed = 1; seed <= seed_count(dflt); ++seed) {
+    run_fuzz(kind, seed);
   }
 }
+
+TEST(FaultScheduleFuzz, Mencius) { run_seeds(ProtocolKind::kMencius, 14); }
 
 TEST(FaultScheduleFuzz, MultiPaxos) {
-  for (std::uint64_t seed = 1; seed <= seed_count(14); ++seed) {
-    run_fuzz(ProtocolKind::kMultiPaxos, seed);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+  run_seeds(ProtocolKind::kMultiPaxos, 14);
 }
 
-TEST(FaultScheduleFuzz, ClockRsm) {
-  for (std::uint64_t seed = 1; seed <= seed_count(14); ++seed) {
-    run_fuzz(ProtocolKind::kClockRsm, seed);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
+TEST(FaultScheduleFuzz, ClockRsm) { run_seeds(ProtocolKind::kClockRsm, 14); }
 
-TEST(FaultScheduleFuzz, Caesar) {
-  for (std::uint64_t seed = 1; seed <= seed_count(12); ++seed) {
-    run_fuzz(ProtocolKind::kCaesar, seed);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
+TEST(FaultScheduleFuzz, Caesar) { run_seeds(ProtocolKind::kCaesar, 12); }
 
-TEST(FaultScheduleFuzz, EPaxos) {
-  for (std::uint64_t seed = 1; seed <= seed_count(12); ++seed) {
-    run_fuzz(ProtocolKind::kEPaxos, seed);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
+TEST(FaultScheduleFuzz, EPaxos) { run_seeds(ProtocolKind::kEPaxos, 12); }
 
 }  // namespace
 }  // namespace caesar::harness

@@ -114,8 +114,8 @@ TEST(RestartDiskTest, DurabilityCountersSurviveWindowAccounting) {
 // chunked catch-up cannot serve the dropped prefix; the responder must hand
 // over a store snapshot, and the rejoiner continues from it (trimmed log,
 // suffix consistency).
-TEST(CompactionHorizonTest, RejoinerBehindHorizonGetsSnapshotThenSuffix) {
-  Scenario s = scenario_for("restart-disk", ProtocolKind::kMencius, "horizon");
+void run_behind_horizon(ProtocolKind kind, const std::string& tag) {
+  Scenario s = scenario_for("restart-disk", kind, tag);
   s.storage.snapshot_every = 64;
   const RunReport r = run_scenario(s);
 
@@ -131,6 +131,20 @@ TEST(CompactionHorizonTest, RejoinerBehindHorizonGetsSnapshotThenSuffix) {
   // It still delivered the post-install stream in cluster order.
   EXPECT_GT(r.order->delivered(2), 0u);
   expect_consistent(r, kConverged);
+}
+
+TEST(CompactionHorizonTest, RejoinerBehindHorizonGetsSnapshotThenSuffix) {
+  run_behind_horizon(ProtocolKind::kMencius, "horizon");
+}
+
+TEST(CompactionHorizonTest,
+     MultiPaxosFollowerBehindHorizonGetsSnapshotThenSuffix) {
+  run_behind_horizon(ProtocolKind::kMultiPaxos, "horizon-multipaxos");
+}
+
+TEST(CompactionHorizonTest,
+     ClockRsmRejoinerBehindHorizonGetsSnapshotThenSuffix) {
+  run_behind_horizon(ProtocolKind::kClockRsm, "horizon-clockrsm");
 }
 
 }  // namespace

@@ -231,6 +231,28 @@ TEST(PrintReportTest, RendersSitesWindowsAndTotals) {
   EXPECT_NE(out.find("consistent: yes"), std::string::npos);
 }
 
+// A run with consistency checking off has no verdict: it must not read as
+// a pass in either emitter, top level or per shard.
+TEST(PrintReportTest, UncheckedRunReportsNoVerdict) {
+  RunReport r = golden_report();
+  r.consistency_checked = false;
+  r.shards.push_back(ShardMetrics{});
+  r.shards[0].consistency_checked = false;
+  std::ostringstream os;
+  print_report(r, os);
+  EXPECT_NE(os.str().find("consistent: unchecked"), std::string::npos);
+  EXPECT_EQ(os.str().find("consistent: yes"), std::string::npos);
+  const std::string json = to_json(r);
+  EXPECT_EQ(json.find("\"consistent\":true"), std::string::npos);
+  std::size_t nulls = 0;
+  for (std::size_t at = json.find("\"consistent\":null");
+       at != std::string::npos;
+       at = json.find("\"consistent\":null", at + 1)) {
+    ++nulls;
+  }
+  EXPECT_EQ(nulls, 2u);  // totals and the one shard
+}
+
 TEST(PrintDiffTest, RendersRatiosAndDashesForUndefined) {
   RunReportDiff d;
   d.label_a = "left";

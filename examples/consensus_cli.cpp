@@ -12,10 +12,13 @@
 // writes the full RunReport as a schema-stable JSON document. With
 // --scenario the run starts from a registered scenario (fault schedule and
 // workload phases included) and the remaining flags act as overrides.
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -27,15 +30,47 @@ using namespace caesar;
 
 namespace {
 
-std::optional<harness::ProtocolKind> parse_protocol(const std::string& name) {
-  if (name == "caesar") return harness::ProtocolKind::kCaesar;
-  if (name == "epaxos") return harness::ProtocolKind::kEPaxos;
-  if (name == "m2paxos") return harness::ProtocolKind::kM2Paxos;
-  if (name == "mencius") return harness::ProtocolKind::kMencius;
-  if (name == "multipaxos") return harness::ProtocolKind::kMultiPaxos;
-  if (name == "clockrsm") return harness::ProtocolKind::kClockRsm;
-  return std::nullopt;
+/// A numeric flag value must parse completely and fit its field: a typo
+/// exits 2 like any other configuration error, instead of silently running
+/// a different experiment.
+[[noreturn]] void bad_value(const std::string& flag, const std::string& text,
+                            const std::string& expected) {
+  std::cerr << "invalid value for " << flag << ": \"" << text
+            << "\" (expected " << expected << ")\n";
+  std::exit(2);
 }
+
+template <typename T>
+T int_flag(const std::string& flag, const std::string& text,
+           T lo = std::numeric_limits<T>::min(),
+           T hi = std::numeric_limits<T>::max()) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || stop != end || v < lo || v > hi) {
+    bad_value(flag, text,
+              "an integer in [" + std::to_string(lo) + ", " +
+                  std::to_string(hi) + "]");
+  }
+  return v;
+}
+
+double real_flag(const std::string& flag, const std::string& text, double lo,
+                 double hi) {
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || stop != end || !(v >= lo && v <= hi)) {
+    std::ostringstream range;
+    range << "a number in [" << lo << ", " << hi << "]";
+    bad_value(flag, text, range.str());
+  }
+  return v;
+}
+
+/// Seconds that still fit a Time in microseconds.
+constexpr double kMaxSeconds =
+    static_cast<double>(std::numeric_limits<Time>::max() / kSec);
 
 void usage() {
   std::cout <<
@@ -136,7 +171,7 @@ int main(int argc, char** argv) {
                value_of("--scenario-file=")) {
       // handled in the first pass
     } else if (auto v = value_of("--shards=")) {
-      s.shards.count = static_cast<std::uint32_t>(std::atoi(v->c_str()));
+      s.shards.count = int_flag<std::uint32_t>("--shards", *v, 1);
       if (s.workload.key_dist.dist == wl::KeyDist::kPaperConflict &&
           s.shards.count > 1) {
         // The paper-conflict chooser funnels everything onto key 0; give a
@@ -144,44 +179,45 @@ int main(int argc, char** argv) {
         s.workload.key_dist.dist = wl::KeyDist::kUniform;
       }
     } else if (auto v = value_of("--protocol=")) {
-      auto kind = parse_protocol(*v);
+      auto kind = harness::parse_protocol(*v);
       if (!kind) {
         std::cerr << "unknown protocol: " << *v << "\n";
         return 2;
       }
       s.protocol = *kind;
     } else if (auto v = value_of("--conflict=")) {
-      s.workload.conflict_fraction = std::atof(v->c_str()) / 100.0;
+      s.workload.conflict_fraction =
+          real_flag("--conflict", *v, 0, 100) / 100.0;
     } else if (auto v = value_of("--clients=")) {
-      s.workload.clients_per_site =
-          static_cast<std::uint32_t>(std::atoi(v->c_str()));
+      s.workload.clients_per_site = int_flag<std::uint32_t>("--clients", *v);
       s.phases.clear();  // back to the default single closed-loop phase
     } else if (auto v = value_of("--rate=")) {
-      s.phases = {wl::PhaseSpec::open_loop(0, std::atof(v->c_str()))};
+      s.phases = {wl::PhaseSpec::open_loop(
+          0, real_flag("--rate", *v, 0, std::numeric_limits<double>::max()))};
     } else if (auto v = value_of("--duration=")) {
-      s.duration = static_cast<Time>(std::atof(v->c_str()) * kSec);
+      s.duration =
+          static_cast<Time>(real_flag("--duration", *v, 0, kMaxSeconds) * kSec);
       s.warmup = s.duration / 5;
     } else if (auto v = value_of("--seed=")) {
-      s.seed = static_cast<std::uint64_t>(std::atoll(v->c_str()));
+      s.seed = int_flag<std::uint64_t>("--seed", *v);
     } else if (auto v = value_of("--leader=")) {
-      s.multipaxos.leader = static_cast<NodeId>(std::atoi(v->c_str()));
+      s.multipaxos.leader = int_flag<NodeId>("--leader", *v);
     } else if (arg == "--batching") {
       s.node.batching = true;
     } else if (arg == "--no-batching") {
       s.node.batching = false;
     } else if (auto v = value_of("--batch-delay-us=")) {
-      s.node.batch_delay_us = static_cast<Time>(std::atoll(v->c_str()));
+      s.node.batch_delay_us = int_flag<Time>("--batch-delay-us", *v, 0);
     } else if (auto v = value_of("--batch-max-ops=")) {
-      s.node.batch_max_ops = static_cast<std::size_t>(std::atoll(v->c_str()));
+      s.node.batch_max_ops = int_flag<std::size_t>("--batch-max-ops", *v);
     } else if (auto v = value_of("--pipeline=")) {
-      s.node.pipeline_window = static_cast<std::size_t>(std::atoll(v->c_str()));
+      s.node.pipeline_window = int_flag<std::size_t>("--pipeline", *v);
     } else if (arg == "--coalescing") {
       s.node.coalescing = true;
     } else if (arg == "--no-coalescing") {
       s.node.coalescing = false;
     } else if (auto v = value_of("--max-inflight=")) {
-      s.workload.max_inflight =
-          static_cast<std::uint32_t>(std::atoll(v->c_str()));
+      s.workload.max_inflight = int_flag<std::uint32_t>("--max-inflight", *v);
     } else if (auto v = value_of("--overload-policy=")) {
       if (*v == "shed") {
         s.workload.overload_policy = wl::OverloadPolicy::kShed;
@@ -195,7 +231,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-wait") {
       s.caesar.wait_enabled = false;
     } else if (auto v = value_of("--window=")) {
-      s.metrics_window_us = static_cast<Time>(std::atof(v->c_str()) * kSec);
+      s.metrics_window_us =
+          static_cast<Time>(real_flag("--window", *v, 0, kMaxSeconds) * kSec);
     } else if (auto v = value_of("--json=")) {
       json_path = *v;
     } else if (arg == "--json") {
@@ -206,7 +243,7 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (auto v = value_of("--crash=")) {
       s.faults.push_back(harness::FaultEvent::Crash(
-          static_cast<NodeId>(std::atoi(v->c_str())), s.duration / 2));
+          int_flag<NodeId>("--crash", *v), s.duration / 2));
     } else if (auto v = value_of("--data-dir=")) {
       if (v->empty()) {
         std::cerr << "--data-dir requires a directory path\n";

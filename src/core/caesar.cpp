@@ -75,7 +75,6 @@ void Caesar::on_recover() {
   // Stable/deliver traffic that flowed while we were down is gone for good —
   // nobody re-broadcasts a STABLE. Pull the missed instances from a live
   // peer and replay them through normal delivery.
-  rec_.set_catchup_needed(true);
   request_catchup();
 }
 
@@ -1047,92 +1046,74 @@ void Caesar::request_catchup() {
   std::sort(wanted.begin(), wanted.end());
   wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
   if (wanted.size() > kCatchupMaxWanted) wanted.resize(kCatchupMaxWanted);
-  rec_.request_catchup([&](NodeId peer) {
-    if (stats_ != nullptr) ++stats_->catchup_requests;
-    net::Encoder e = env_.encoder();
-    e.put_varint(rec_.catchup_round());
+  auto body = [&](net::Encoder& e) {
     e.put_varint(n_);
     for (std::uint64_t b : bound) e.put_varint(b);
     for (std::uint64_t h : hash) e.put_u64(h);
     e.put_varint(wanted.size());
     for (CmdId w : wanted) e.put_varint(w);
-    env_.send(peer, rt::kCatchupRequestType, std::move(e));
-  });
+  };
+  rec_.request_instance_catchup(*this, body, stats_);
 }
 
 void Caesar::on_catchup_request(NodeId from, net::Decoder& d) {
-  const std::uint64_t round = d.get_varint();
-  const std::uint64_t norig = d.get_varint();
-  std::vector<std::uint64_t> bound(norig, 0);
-  for (std::uint64_t i = 0; i < norig; ++i) bound[i] = d.get_varint();
-  std::vector<std::uint64_t> their_hash(norig, 0);
-  for (std::uint64_t i = 0; i < norig; ++i) their_hash[i] = d.get_u64();
-  const std::uint64_t nwant = d.get_varint();
-  std::vector<CmdId> ship;
-  std::unordered_set<CmdId> seen;
-  for (std::uint64_t i = 0; i < nwant; ++i) {
-    const CmdId w = d.get_varint();
-    if (status_of(w) == Status::kStable && seen.insert(w).second) {
-      ship.push_back(w);
+  auto choose = [this](net::Decoder& req) {
+    const std::uint64_t norig = req.get_varint();
+    std::vector<std::uint64_t> bound(norig, 0);
+    for (std::uint64_t i = 0; i < norig; ++i) bound[i] = req.get_varint();
+    std::vector<std::uint64_t> their_hash(norig, 0);
+    for (std::uint64_t i = 0; i < norig; ++i) their_hash[i] = req.get_u64();
+    const std::uint64_t nwant = req.get_varint();
+    std::vector<CmdId> ship;
+    std::unordered_set<CmdId> seen;
+    for (std::uint64_t i = 0; i < nwant; ++i) {
+      const CmdId w = req.get_varint();
+      if (status_of(w) == Status::kStable && seen.insert(w).second) {
+        ship.push_back(w);
+      }
     }
-  }
-  // Local view of each requester-bounded stable set; a hash mismatch means
-  // the requester has a hole below its own bound (or is ahead of us — then
-  // the re-shipped column replays as no-ops and produces no news).
-  std::vector<std::uint64_t> our_hash(norig, 0);
-  for (const auto& [id, info] : history_) {
-    if (info.status != Status::kStable) continue;
-    const NodeId o = cmd_origin(id);
-    if (o < norig && cmd_seq(id) < bound[o]) {
-      our_hash[o] = mix_id(our_hash[o], id);
+    // Local view of each requester-bounded stable set; a hash mismatch
+    // means the requester has a hole below its own bound (or is ahead of us
+    // — then the re-shipped column replays as no-ops and produces no news).
+    std::vector<std::uint64_t> our_hash(norig, 0);
+    for (const auto& [id, info] : history_) {
+      if (info.status != Status::kStable) continue;
+      const NodeId o = cmd_origin(id);
+      if (o < norig && cmd_seq(id) < bound[o]) {
+        our_hash[o] = mix_id(our_hash[o], id);
+      }
     }
-  }
-  for (const auto& [id, info] : history_) {
-    if (info.status != Status::kStable) continue;
-    const NodeId o = cmd_origin(id);
-    if (o >= norig) continue;
-    const bool above_bound = cmd_seq(id) >= bound[o];
-    const bool hole_suspect = !above_bound && our_hash[o] != their_hash[o];
-    if ((above_bound || hole_suspect) && seen.insert(id).second) {
-      ship.push_back(id);
+    for (const auto& [id, info] : history_) {
+      if (info.status != Status::kStable) continue;
+      const NodeId o = cmd_origin(id);
+      if (o >= norig) continue;
+      const bool above_bound = cmd_seq(id) >= bound[o];
+      const bool hole_suspect = !above_bound && our_hash[o] != their_hash[o];
+      if ((above_bound || hole_suspect) && seen.insert(id).second) {
+        ship.push_back(id);
+      }
     }
-  }
-  std::sort(ship.begin(), ship.end());  // deterministic frame contents
-  // Chunked frames: varint count, count x TimestampedCmdMsg, u8 done. An
-  // empty result still sends one done frame so the requester's
-  // catchup_needed latch clears.
-  std::size_t pos = 0;
-  do {
-    const std::size_t count =
-        std::min(ship.size() - pos, rsm::kCatchupChunkEntries);
-    net::Encoder e = env_.encoder();
-    e.put_varint(round);
-    e.put_varint(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      const CmdInfo& info = *history_.find(ship[pos + k]);
-      info.cmd.encode(e);
-      e.put_u64(info.ballot);
-      info.ts.encode(e);
-      e.put_id_set(info.pred);
-    }
-    pos += count;
-    e.put_u8(pos == ship.size() ? 1 : 0);
-    env_.send(from, rt::kCatchupReplyType, std::move(e));
-    if (stats_ != nullptr) ++stats_->catchup_chunks;
-  } while (pos < ship.size());
+    std::sort(ship.begin(), ship.end());  // deterministic frame contents
+    return ship;
+  };
+  // Each item is the stable decision as a TimestampedCmdMsg.
+  auto write_item = [this](net::Encoder& e, CmdId id) {
+    const CmdInfo& info = *history_.find(id);
+    info.cmd.encode(e);
+    e.put_u64(info.ballot);
+    info.ts.encode(e);
+    e.put_id_set(info.pred);
+  };
+  rt::RecoveryDriver::serve_instance_catchup(*this, from, d, choose,
+                                             write_item, stats_);
 }
 
 void Caesar::on_catchup_reply(NodeId /*from*/, net::Decoder& d) {
-  const std::uint64_t round = d.get_varint();
-  const std::uint64_t count = d.get_varint();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    TimestampedCmdMsg m = TimestampedCmdMsg::decode(d);
+  auto apply = [this](net::Decoder& item) {
+    TimestampedCmdMsg m = TimestampedCmdMsg::decode(item);
     clock_.observe(m.ts);
     const CmdId id = m.cmd.id;
-    if (status_of(id) != Status::kStable) {
-      rec_.note_catchup_news();
-      if (stats_ != nullptr) ++stats_->catchup_commands;
-    }
+    const bool news = status_of(id) != Status::kStable;
     // A coordinator of ours still in flight for this command is obsolete —
     // the decision is in; it must not push a dead ballot any further.
     auto cit = coord_.find(id);
@@ -1145,13 +1126,9 @@ void Caesar::on_catchup_reply(NodeId /*from*/, net::Decoder& d) {
     CmdInfo& info = history_[id];
     if (m.ballot > info.joined) info.joined = m.ballot;
     make_stable(info, m.cmd, m.ballot, m.ts, std::move(m.pred));
-  }
-  if (d.get_u8() != 0 && round == rec_.catchup_round()) {
-    // Clears the latch only if the round in flight taught us nothing new;
-    // otherwise the next tick asks the next peer on the rotor, until a full
-    // round comes back news-free (see RecoveryDriver::finish_catchup_round).
-    rec_.finish_catchup_round();
-  }
+    return news;
+  };
+  rec_.read_instance_reply(d, apply, stats_);
 }
 
 // --------------------------------------------------------------------------

@@ -56,9 +56,10 @@ struct CaesarConfig {
   Time gossip_interval_us = 0;
   /// Progress-watchdog period: a stalled delivered count with undelivered
   /// backlog (blocked stables, in-flight entries that never resolve)
-  /// triggers instance catch-up from a rotating live peer. 0 disables the
-  /// watchdog (unit tests drive the simulator to quiescence; the scenario
-  /// harness enables it for fault runs).
+  /// triggers instance catch-up from a rotating live peer. 0 (the default,
+  /// which no registered scenario overrides) disables the watchdog, leaving
+  /// a rejoin the single request on_recover sends; the fault fuzz and
+  /// state-transfer tests set it.
   Time catchup_interval_us = 0;
 };
 

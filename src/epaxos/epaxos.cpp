@@ -81,7 +81,6 @@ void EPaxos::on_recover() {
   std::sort(redrive.begin(), redrive.end());
   redrive.erase(std::unique(redrive.begin(), redrive.end()), redrive.end());
   for (InstanceId iid : redrive) start_recovery(iid);
-  rec_.set_catchup_needed(true);
   request_catchup();
 }
 
@@ -745,75 +744,51 @@ void EPaxos::catchup_tick() {
 void EPaxos::request_catchup() {
   // Per-leader committed-prefix frontier: smallest slot not committed here.
   const std::vector<std::uint64_t> frontier = committed_frontiers(nullptr);
-  rec_.request_catchup([&](NodeId peer) {
-    if (stats_ != nullptr) ++stats_->catchup_requests;
-    net::Encoder e = env_.encoder();
-    e.put_varint(rec_.catchup_round());
+  auto body = [&](net::Encoder& e) {
     e.put_varint(n_);
     for (std::uint64_t f : frontier) e.put_varint(f);
-    env_.send(peer, rt::kCatchupRequestType, std::move(e));
-  });
+  };
+  rec_.request_instance_catchup(*this, body, stats_);
 }
 
 void EPaxos::on_catchup_request(NodeId from, net::Decoder& d) {
-  const std::uint64_t round = d.get_varint();
-  const std::uint64_t nl = d.get_varint();
-  std::vector<std::uint64_t> frontier(nl, 0);
-  for (std::uint64_t i = 0; i < nl; ++i) frontier[i] = d.get_varint();
-  std::vector<InstanceId> ship;
-  for (const auto& [iid, inst] : instances_) {
-    if (inst.status != IStatus::kCommitted &&
-        inst.status != IStatus::kExecuted) {
-      continue;
+  auto choose = [this](net::Decoder& req) {
+    const std::uint64_t nl = req.get_varint();
+    std::vector<std::uint64_t> frontier(nl, 0);
+    for (std::uint64_t i = 0; i < nl; ++i) frontier[i] = req.get_varint();
+    std::vector<InstanceId> ship;
+    for (const auto& [iid, inst] : instances_) {
+      if (inst.status != IStatus::kCommitted &&
+          inst.status != IStatus::kExecuted) {
+        continue;
+      }
+      const NodeId leader = iid_leader(iid);
+      if (leader < frontier.size() && iid_slot(iid) >= frontier[leader]) {
+        ship.push_back(iid);
+      }
     }
-    const NodeId leader = iid_leader(iid);
-    if (leader < frontier.size() && iid_slot(iid) >= frontier[leader]) {
-      ship.push_back(iid);
-    }
-  }
-  std::sort(ship.begin(), ship.end());  // deterministic frame contents
-  // Chunked frames: varint count, count x instance, u8 done. An empty result
-  // still sends one done frame so the requester's catchup_needed latch
-  // clears.
-  std::size_t pos = 0;
-  do {
-    const std::size_t count =
-        std::min(ship.size() - pos, rsm::kCatchupChunkEntries);
-    net::Encoder e = env_.encoder();
-    e.put_varint(round);
-    e.put_varint(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      const InstanceId iid = ship[pos + k];
-      const Instance& inst = instances_.at(iid);
-      encode_instance_msg(e, iid, inst.ballot, inst.cmd, inst.seq, inst.deps);
-    }
-    pos += count;
-    e.put_u8(pos == ship.size() ? 1 : 0);
-    env_.send(from, rt::kCatchupReplyType, std::move(e));
-    if (stats_ != nullptr) ++stats_->catchup_chunks;
-  } while (pos < ship.size());
+    std::sort(ship.begin(), ship.end());  // deterministic frame contents
+    return ship;
+  };
+  auto write_item = [this](net::Encoder& e, InstanceId iid) {
+    const Instance& inst = instances_.at(iid);
+    encode_instance_msg(e, iid, inst.ballot, inst.cmd, inst.seq, inst.deps);
+  };
+  rt::RecoveryDriver::serve_instance_catchup(*this, from, d, choose,
+                                             write_item, stats_);
 }
 
 void EPaxos::on_catchup_reply(NodeId /*from*/, net::Decoder& d) {
-  const std::uint64_t round = d.get_varint();
-  const std::uint64_t count = d.get_varint();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    InstanceMsg m = decode_instance_msg(d);
-    if (!is_committed(m.iid)) {
-      rec_.note_catchup_news();
-      if (stats_ != nullptr) ++stats_->catchup_commands;
-    }
+  auto apply = [this](net::Decoder& item) {
+    InstanceMsg m = decode_instance_msg(item);
+    const bool news = !is_committed(m.iid);
     // A coordinator of ours still in flight for this instance is obsolete —
     // the decision is in; it must not push a dead ballot any further.
     coord_.erase(m.iid);
     apply_commit(m.iid, m.cmd, m.seq, std::move(m.deps));
-  }
-  if (d.get_u8() != 0 && round == rec_.catchup_round()) {
-    // Clears the latch only if the round in flight taught us nothing new;
-    // otherwise the next tick asks the next peer on the rotor, until a full
-    // round comes back news-free (see RecoveryDriver::finish_catchup_round).
-    rec_.finish_catchup_round();
-  }
+    return news;
+  };
+  rec_.read_instance_reply(d, apply, stats_);
 }
 
 // ---------------------------------------------------------------------------

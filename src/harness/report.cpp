@@ -138,12 +138,15 @@ void print_report(const RunReport& r, std::ostream& os) {
   }
 
   os << "\nthroughput: " << Table::num(r.throughput_tps, 0) << " cmd/s"
-     << "\ncompleted: " << r.completed << " / submitted: " << r.submitted
-     << "\nfast decisions: " << r.proto.fast_decisions
-     << "  slow: " << r.proto.slow_decisions
-     << "  retries: " << r.proto.retries
-     << "  recoveries: " << r.proto.recoveries
-     << "\nmessages: " << r.messages << "  bytes: " << r.bytes;
+     << "\ncompleted: " << r.completed << " / submitted: " << r.submitted;
+  // Every nonzero protocol counter under its JSON name, four to a line.
+  std::size_t shown = 0;
+  for (const auto& f : stats::ProtocolCounters::fields()) {
+    const std::uint64_t v = r.proto.*f.member;
+    if (v == 0) continue;
+    os << (shown++ % 4 == 0 ? "\n" : "  ") << f.name << ": " << v;
+  }
+  os << "\nmessages: " << r.messages << "  bytes: " << r.bytes;
   if (r.fd_suspicions > 0 || r.fd_retractions > 0) {
     os << "\nfd suspicions: " << r.fd_suspicions
        << "  retractions: " << r.fd_retractions;
@@ -152,18 +155,6 @@ void print_report(const RunReport& r, std::ostream& os) {
     os << "\nflow control: admitted " << r.flow_control.admitted
        << "  deferred " << r.flow_control.deferred << "  shed "
        << r.flow_control.shed;
-  }
-  if (r.proto.catchup_requests > 0 || r.proto.revocations > 0) {
-    os << "\ncatch-up requests: " << r.proto.catchup_requests
-       << "  chunks: " << r.proto.catchup_chunks
-       << "  commands replayed: " << r.proto.catchup_commands
-       << "  revocations: " << r.proto.revocations;
-  }
-  if (r.proto.wal_appends > 0) {
-    os << "\nwal appends: " << r.proto.wal_appends
-       << "  fsyncs: " << r.proto.fsyncs
-       << "  snapshots: " << r.proto.snapshots
-       << "  truncated segments: " << r.proto.truncated_segments;
   }
   os << "\nconsistent: " << verdict_text(r.consistency_checked, r.consistent)
      << "\n";

@@ -1,6 +1,7 @@
 #include "harness/scenario.h"
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -30,6 +31,19 @@ std::string_view to_string(ProtocolKind kind) {
       return "ClockRSM";
   }
   return "?";
+}
+
+std::optional<ProtocolKind> parse_protocol(std::string_view name) {
+  // The kinds are declared in order from 0, kClockRsm last.
+  for (int k = 0; k <= static_cast<int>(ProtocolKind::kClockRsm); ++k) {
+    const auto kind = static_cast<ProtocolKind>(k);
+    std::string lower(to_string(kind));
+    for (char& c : lower) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    if (lower == name) return kind;
+  }
+  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------

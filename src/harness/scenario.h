@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,6 +53,9 @@ enum class ProtocolKind {
 };
 
 std::string_view to_string(ProtocolKind kind);
+/// The inverse of to_string, lower-cased: "caesar", "epaxos", "m2paxos",
+/// "mencius", "multipaxos" or "clockrsm"; nullopt for any other name.
+std::optional<ProtocolKind> parse_protocol(std::string_view name);
 
 /// One entry of a scenario's fault timeline.
 struct FaultEvent {

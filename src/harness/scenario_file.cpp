@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -286,16 +288,22 @@ class ScenarioTranslator {
     return v.number;
   }
 
-  std::int64_t as_int(const JsonValue& v, const std::string& field) const {
+  /// An integer that fits the field's type T: one that would wrap or
+  /// truncate is an error naming the field, never a different number.
+  template <typename T>
+  T as_int(const JsonValue& v, const std::string& field) const {
     const double d = as_number(v, field);
     if (d != std::floor(d)) fail(field, "expected an integer");
-    return static_cast<std::int64_t>(d);
-  }
-
-  std::uint64_t as_uint(const JsonValue& v, const std::string& field) const {
-    const std::int64_t i = as_int(v, field);
-    if (i < 0) fail(field, "expected a non-negative integer");
-    return static_cast<std::uint64_t>(i);
+    if (std::is_unsigned_v<T> && d < 0) {
+      fail(field, "expected a non-negative integer");
+    }
+    // Both bounds are exact doubles (max + 1 rounds to a power of two), so
+    // no value outside T's range reaches the cast.
+    if (d < static_cast<double>(std::numeric_limits<T>::min()) ||
+        d >= static_cast<double>(std::numeric_limits<T>::max()) + 1.0) {
+      fail(field, "integer out of range");
+    }
+    return static_cast<T>(d);
   }
 
   bool as_bool(const JsonValue& v, const std::string& field) const {
@@ -309,28 +317,24 @@ class ScenarioTranslator {
     return v.string;
   }
 
+  /// A duration in `unit`s, as whole microseconds that fit a Time.
+  Time as_duration(const JsonValue& v, const std::string& field,
+                   Time unit) const {
+    const double us = as_number(v, field) * static_cast<double>(unit);
+    constexpr double kLimit = 9223372036854775808.0;  // 2^63, exact
+    if (!(us > -kLimit && us < kLimit)) fail(field, "duration out of range");
+    return static_cast<Time>(std::llround(us));
+  }
   Time as_seconds(const JsonValue& v, const std::string& field) const {
-    return static_cast<Time>(
-        std::llround(as_number(v, field) * static_cast<double>(kSec)));
+    return as_duration(v, field, kSec);
   }
-
   Time as_millis(const JsonValue& v, const std::string& field) const {
-    return static_cast<Time>(
-        std::llround(as_number(v, field) * static_cast<double>(kMs)));
+    return as_duration(v, field, kMs);
   }
 
-  NodeId as_node(const JsonValue& v, const std::string& field) const {
-    return static_cast<NodeId>(as_uint(v, field));
-  }
-
-  ProtocolKind parse_protocol(const std::string& name,
-                              const std::string& field) const {
-    if (name == "caesar") return ProtocolKind::kCaesar;
-    if (name == "epaxos") return ProtocolKind::kEPaxos;
-    if (name == "m2paxos") return ProtocolKind::kM2Paxos;
-    if (name == "mencius") return ProtocolKind::kMencius;
-    if (name == "multipaxos") return ProtocolKind::kMultiPaxos;
-    if (name == "clockrsm") return ProtocolKind::kClockRsm;
+  ProtocolKind as_protocol(const JsonValue& v, const std::string& field) const {
+    const std::string& name = as_string(v, field);
+    if (const auto kind = parse_protocol(name)) return *kind;
     fail(field, "unknown protocol \"" + name +
                     "\" (expected caesar|epaxos|m2paxos|mencius|multipaxos|"
                     "clockrsm)");
@@ -341,7 +345,7 @@ class ScenarioTranslator {
     for (const auto& [key, f] : v.object) {
       const std::string field = "shards." + key;
       if (key == "count") {
-        s.shards.count = static_cast<std::uint32_t>(as_uint(f, field));
+        s.shards.count = as_int<std::uint32_t>(f, field);
       } else if (key == "partition") {
         const std::string& p = as_string(f, field);
         if (p == "hash") {
@@ -362,7 +366,7 @@ class ScenarioTranslator {
                "expected \"pin-first-key\" or \"reject\", got \"" + p + "\"");
         }
       } else if (key == "range_keyspace") {
-        s.shards.range_keyspace = as_uint(f, field);
+        s.shards.range_keyspace = as_int<std::uint64_t>(f, field);
       } else {
         fail(field, "unknown key");
       }
@@ -392,13 +396,13 @@ class ScenarioTranslator {
                           "hot-key)");
         }
       } else if (key == "keyspace") {
-        kd.keyspace = as_uint(f, field);
+        kd.keyspace = as_int<std::uint64_t>(f, field);
       } else if (key == "theta") {
         kd.zipf_theta = as_number(f, field);
       } else if (key == "hot_fraction") {
         kd.hot_fraction = as_number(f, field);
       } else if (key == "hot_keys") {
-        kd.hot_keys = as_uint(f, field);
+        kd.hot_keys = as_int<std::uint64_t>(f, field);
       } else {
         fail(field, "unknown key");
       }
@@ -412,13 +416,13 @@ class ScenarioTranslator {
       if (key == "batching") {
         s.node.batching = as_bool(f, field);
       } else if (key == "batch_delay_us") {
-        s.node.batch_delay_us = static_cast<Time>(as_uint(f, field));
+        s.node.batch_delay_us = as_int<Time>(f, field);
       } else if (key == "batch_delay_ms") {
         s.node.batch_delay_us = as_millis(f, field);
       } else if (key == "batch_max_ops") {
-        s.node.batch_max_ops = static_cast<std::size_t>(as_uint(f, field));
+        s.node.batch_max_ops = as_int<std::size_t>(f, field);
       } else if (key == "pipeline_window") {
-        s.node.pipeline_window = static_cast<std::size_t>(as_uint(f, field));
+        s.node.pipeline_window = as_int<std::size_t>(f, field);
       } else if (key == "coalescing") {
         s.node.coalescing = as_bool(f, field);
       } else {
@@ -434,8 +438,7 @@ class ScenarioTranslator {
     for (const auto& [key, f] : v.object) {
       const std::string field = "flow_control." + key;
       if (key == "max_inflight") {
-        s.workload.max_inflight =
-            static_cast<std::uint32_t>(as_uint(f, field));
+        s.workload.max_inflight = as_int<std::uint32_t>(f, field);
       } else if (key == "policy") {
         const std::string& p = as_string(f, field);
         if (p == "shed") {
@@ -446,8 +449,7 @@ class ScenarioTranslator {
           fail(field, "expected \"shed\" or \"queue\", got \"" + p + "\"");
         }
       } else if (key == "queue_cap") {
-        s.workload.overload_queue_cap =
-            static_cast<std::size_t>(as_uint(f, field));
+        s.workload.overload_queue_cap = as_int<std::size_t>(f, field);
       } else {
         fail(field, "unknown key");
       }
@@ -477,8 +479,8 @@ class ScenarioTranslator {
       p.mode = wl::PhaseSpec::Mode::kClosedLoop;
       reject_unknown({"clients_per_site", "think_ms"});
       if (const JsonValue* c = v.find("clients_per_site")) {
-        p.clients_per_site = static_cast<std::uint32_t>(
-            as_uint(*c, prefix + ".clients_per_site"));
+        p.clients_per_site =
+            as_int<std::uint32_t>(*c, prefix + ".clients_per_site");
       }
       if (const JsonValue* t = v.find("think_ms")) {
         p.think_us = as_millis(*t, prefix + ".think_ms");
@@ -543,13 +545,13 @@ class ScenarioTranslator {
       } else if (key == "at_s") {
         e.at = as_seconds(f, field);
       } else if (key == "node") {
-        e.node = as_node(f, field);
+        e.node = as_int<NodeId>(f, field);
       } else if (key == "a") {
-        e.a = as_node(f, field);
+        e.a = as_int<NodeId>(f, field);
       } else if (key == "b") {
-        e.b = as_node(f, field);
+        e.b = as_int<NodeId>(f, field);
       } else if (key == "group") {
-        e.group = static_cast<std::int32_t>(as_int(f, field));
+        e.group = as_int<std::int32_t>(f, field);
       } else {
         fail(field, "unknown key");
       }
@@ -564,10 +566,9 @@ class ScenarioTranslator {
     } else if (key == "name") {
       s.name = as_string(v, key);
     } else if (key == "protocol") {
-      s.protocol = parse_protocol(as_string(v, key), key);
+      s.protocol = as_protocol(v, key);
     } else if (key == "clients_per_site") {
-      s.workload.clients_per_site =
-          static_cast<std::uint32_t>(as_uint(v, key));
+      s.workload.clients_per_site = as_int<std::uint32_t>(v, key);
     } else if (key == "conflict_pct") {
       s.workload.conflict_fraction = as_number(v, key) / 100.0;
     } else if (key == "think_ms") {
@@ -577,7 +578,7 @@ class ScenarioTranslator {
     } else if (key == "warmup_s") {
       s.warmup = as_seconds(v, key);
     } else if (key == "seed") {
-      s.seed = as_uint(v, key);
+      s.seed = as_int<std::uint64_t>(v, key);
     } else if (key == "shards") {
       apply_shards(s, v);
     } else if (key == "key_dist") {
@@ -611,7 +612,7 @@ class ScenarioTranslator {
     } else if (key == "check_consistency") {
       s.check_consistency = as_bool(v, key);
     } else if (key == "multipaxos_leader") {
-      s.multipaxos.leader = as_node(v, key);
+      s.multipaxos.leader = as_int<NodeId>(v, key);
     } else if (key == "node") {
       apply_node(s, v);
     } else if (key == "flow_control") {

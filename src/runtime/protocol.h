@@ -146,18 +146,18 @@ class Protocol {
   virtual void on_recover() { start(); }
 
   /// State-transfer hooks (kCatchupRequestType / kCatchupReplyType frames,
-  /// routed here by the node runtime). A lagging node sends a request naming
-  /// its delivery frontier (RecoveryDriver::send_log_request); a live peer
-  /// answers with the missing committed suffix as chunked rsm::LogSnapshot
-  /// frames, which the requester replays through its normal delivery path.
-  /// Default: the protocol has no state transfer and ignores the frames.
+  /// routed here by the node runtime). A lagging node asks a live peer for
+  /// what it missed, and replays the chunked reply through its normal
+  /// delivery path; rt::RecoveryDriver frames both sides, for the log
+  /// protocols and the instance-space ones alike. Default: the protocol has
+  /// no state transfer and ignores the frames.
   virtual void on_catchup_request(NodeId from, net::Decoder& d);
-  virtual void on_catchup_reply(NodeId from, net::Decoder& d);
+  virtual void on_catchup_reply(NodeId /*from*/, net::Decoder& /*d*/) {}
 
   /// Store-snapshot leg of catch-up (kCatchupSnapshotType frames): served by
   /// a responder whose CommandLog was compacted past the requester's
   /// frontier. Default: ignored (protocol keeps its full log in memory).
-  virtual void on_catchup_snapshot(NodeId from, net::Decoder& d);
+  virtual void on_catchup_snapshot(NodeId /*from*/, net::Decoder& /*d*/) {}
 
   /// Called on a freshly constructed protocol instance before on_recover()
   /// when the node restarts from disk: rebuild delivered/acceptor state from
@@ -172,30 +172,12 @@ class Protocol {
   /// Merges client commands into one composite command with a fresh id.
   rsm::Command make_composite(std::vector<rsm::Command>& cmds);
 
-  /// Sends the shared snapshot frame (kCatchupSnapshotType): the responder's
-  /// store contents as of `frontier`, with the prefix hash and digest the
-  /// requester verifies before installing.
-  void send_catchup_snapshot(NodeId to, const rsm::KvStore& store,
-                             std::uint64_t frontier, std::uint64_t prefix_hash,
-                             std::uint64_t delivered_count);
-
-  /// Decoded + digest-verified snapshot frame; `valid` is false when the
-  /// transferred contents do not match the carried digest.
-  struct CatchupSnapshot {
-    rsm::KvStore store;
-    std::uint64_t frontier = 0;
-    std::uint64_t prefix_hash = 0;
-    std::uint64_t delivered_count = 0;
-    bool valid = false;
-  };
-  static CatchupSnapshot decode_catchup_snapshot(net::Decoder& d);
-
   Env& env_;
   DeliverFn deliver_;
 
  private:
-  /// The shared recovery driver frames log catch-up and the revocation
-  /// exchange on a protocol's behalf (runtime/recovery_driver.h).
+  /// The shared recovery driver frames catch-up and the revocation exchange
+  /// on a protocol's behalf (runtime/recovery_driver.h).
   friend class RecoveryDriver;
 };
 

@@ -10,6 +10,30 @@
 
 namespace caesar::rt {
 
+namespace {
+
+/// The store-snapshot frame (kCatchupSnapshotType): frontier, prefix hash,
+/// delivered count, store digest, then the (key, value, version) triples.
+/// install_log_snapshot decodes it and checks the digest before installing.
+void send_snapshot_frame(Env& env, NodeId to, const rsm::KvStore& store,
+                         std::uint64_t frontier, std::uint64_t prefix_hash,
+                         std::uint64_t delivered_count) {
+  net::Encoder e = env.encoder();
+  e.put_u64(frontier);
+  e.put_u64(prefix_hash);
+  e.put_u64(delivered_count);
+  e.put_u64(store.digest());
+  e.put_varint(store.key_count());
+  for (const auto& [key, entry] : store.contents()) {
+    e.put_u64(key);
+    e.put_u64(entry.value);
+    e.put_varint(entry.version);
+  }
+  env.send(to, kCatchupSnapshotType, std::move(e));
+}
+
+}  // namespace
+
 bool RecoveryDriver::request_catchup(
     const std::function<void(NodeId peer)>& send) {
   // Rotate over peers this node believes alive, so a crashed or lagging
@@ -195,8 +219,8 @@ void RecoveryDriver::serve_log_catchup(
     // snapshot at the *current* frontier instead (the durability mirror is
     // exactly the delivered state); the requester installs it, then re-asks
     // for the suffix above it through the normal chunked path.
-    self.send_catchup_snapshot(from, dur->mirror_store(), resolved_through,
-                               log.rolling_hash(), dur->delivered_count());
+    send_snapshot_frame(env, from, dur->mirror_store(), resolved_through,
+                        log.rolling_hash(), dur->delivered_count());
     return;
   }
   // The prefix hash is only meaningful when this node has resolved at least
@@ -255,25 +279,84 @@ bool RecoveryDriver::install_log_snapshot(
     rsm::CommandLog& log, storage::Durability* dur,
     stats::ProtocolStats* stats, const char* who,
     const std::function<void(std::uint64_t)>& rebase) {
-  Protocol::CatchupSnapshot s = Protocol::decode_catchup_snapshot(d);
-  if (!s.valid) {
+  const std::uint64_t snap_frontier = d.get_u64();
+  const std::uint64_t prefix_hash = d.get_u64();
+  const std::uint64_t delivered_count = d.get_u64();
+  const std::uint64_t digest = d.get_u64();
+  rsm::KvStore store;
+  for (std::uint64_t i = 0, n = d.get_varint(); i < n; ++i) {
+    const Key key = d.get_u64();
+    const std::uint64_t value = d.get_u64();
+    store.install(key, value, d.get_varint());
+  }
+  store.set_applied_commands(delivered_count);
+  if (store.digest() != digest) {
     log::error(who, ": catch-up snapshot from node ", from,
                " failed its digest check — dropping");
     return false;
   }
-  if (s.frontier <= frontier) return false;  // raced a chunked catch-up
+  if (snap_frontier <= frontier) return false;  // raced a chunked catch-up
   if (dur != nullptr) {
-    dur->install_snapshot(s.store, s.frontier, s.prefix_hash,
-                          s.delivered_count);
+    dur->install_snapshot(store, snap_frontier, prefix_hash, delivered_count);
   }
   // The delivered prefix below the snapshot frontier is now represented
   // only by its hash.
-  log.set_base(s.frontier, s.prefix_hash);
-  rebase(s.frontier);
-  self.env_.notify_snapshot_install(s.store, s.delivered_count);
+  log.set_base(snap_frontier, prefix_hash);
+  rebase(snap_frontier);
+  self.env_.notify_snapshot_install(store, delivered_count);
   // Everything newer than the snapshot still has to come the normal way.
-  request_log_catchup(self, s.frontier, log, stats);
+  request_log_catchup(self, snap_frontier, log, stats);
   return true;
+}
+
+void RecoveryDriver::request_instance_catchup(
+    Protocol& self, const std::function<void(net::Encoder&)>& write_body,
+    stats::ProtocolStats* stats) {
+  catchup_needed_ = true;
+  request_catchup([&](NodeId peer) {
+    if (stats != nullptr) ++stats->catchup_requests;
+    net::Encoder e = self.env_.encoder();
+    e.put_varint(catchup_round_);
+    write_body(e);
+    self.env_.send(peer, kCatchupRequestType, std::move(e));
+  });
+}
+
+void RecoveryDriver::serve_instance_catchup(
+    Protocol& self, NodeId from, net::Decoder& request,
+    const std::function<std::vector<std::uint64_t>(net::Decoder&)>& choose,
+    const std::function<void(net::Encoder&, std::uint64_t)>& write_item,
+    stats::ProtocolStats* stats) {
+  const std::uint64_t round = request.get_varint();
+  const std::vector<std::uint64_t> ship = choose(request);
+  Env& env = self.env_;
+  std::size_t pos = 0;
+  do {
+    const std::size_t count =
+        std::min(ship.size() - pos, rsm::kCatchupChunkEntries);
+    net::Encoder e = env.encoder();
+    e.put_varint(round);
+    e.put_varint(count);
+    for (std::size_t k = 0; k < count; ++k) write_item(e, ship[pos + k]);
+    pos += count;
+    e.put_u8(pos == ship.size() ? 1 : 0);
+    env.send(from, kCatchupReplyType, std::move(e));
+    if (stats != nullptr) ++stats->catchup_chunks;
+  } while (pos < ship.size());
+}
+
+void RecoveryDriver::read_instance_reply(
+    net::Decoder& d, const std::function<bool(net::Decoder&)>& apply_item,
+    stats::ProtocolStats* stats) {
+  const std::uint64_t round = d.get_varint();
+  const std::uint64_t count = d.get_varint();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (apply_item(d)) {
+      note_catchup_news();
+      if (stats != nullptr) ++stats->catchup_commands;
+    }
+  }
+  if (d.get_u8() != 0 && round == catchup_round_) finish_catchup_round();
 }
 
 void RecoveryDriver::send_revoke_query(Protocol& self,

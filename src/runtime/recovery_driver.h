@@ -7,10 +7,11 @@
 //     watchdog period instead of stranding the rejoin;
 //   * progress watchdog — detects a stalled delivery frontier with evidence
 //     of a backlog and re-arms the catch-up request.
-// The log protocols (Mencius, Multi-Paxos, Clock-RSM) also share the whole
-// log catch-up wire path: the request frame, the chunked suffix reply and
-// its prefix-hash check, and the snapshot-then-suffix install. Mencius and
-// Clock-RSM share:
+// The log protocols (Mencius, Multi-Paxos, Clock-RSM) share the log
+// catch-up wire path (request, chunked suffix reply with its prefix-hash
+// check, snapshot-then-suffix install); CAESAR and EPaxos share the
+// instance catch-up wire path (round-stamped request, chunked reply,
+// news-free-round latch). Mencius and Clock-RSM share:
 //   * designated-revoker rounds and their query/answer exchange — one
 //     designated node (lowest non-suspected id, so concurrent revokers
 //     cannot reach conflicting verdicts) gathers every live peer's
@@ -19,9 +20,6 @@
 // and Mencius alone records
 //   * revoked index ranges — the quorum-backed verdicts those rounds
 //     produce, recorded permanently per owner.
-// The instance-space protocols (CAESAR, EPaxos) frame their own catch-up
-// (instance sets with no prefix hash) and use the news-free-round latch
-// policy below instead.
 //
 // The ranges are the fix for a divergence the triplicated code carried
 // (the Mencius seed-277 fuzz repro): verdicts used to be *unbounded*
@@ -101,12 +99,12 @@ class RecoveryDriver {
   /// hash to prove the requester caught up: a reply can race commits that
   /// were in flight to the responder when it served, and a wholly-unknown
   /// instance leaves no local backlog evidence to re-latch the watchdog. So
-  /// the latch clears only after a *news-free* round: the protocol calls
-  /// note_catchup_news() for every instance a reply actually taught it, and
-  /// finish_catchup_round() on the done frame — which keeps the latch (and
-  /// thus rotates to the next peer on the next tick) until a full round
-  /// returns nothing new. request_catchup() resets the tally and bumps
-  /// catchup_round(); the protocol stamps the round id into its request and
+  /// the latch clears only after a *news-free* round: read_instance_reply()
+  /// calls note_catchup_news() for every instance a reply actually taught
+  /// the protocol, and finish_catchup_round() on the done frame — which
+  /// keeps the latch (and thus rotates to the next peer on the next tick)
+  /// until a full round returns nothing new. request_catchup() resets the
+  /// tally and bumps catchup_round(); the request carries the round id and
   /// the responder echoes it, so a late done frame from a superseded round
   /// cannot clear the latch out from under the round in flight.
   void note_catchup_news() { ++catchup_news_; }
@@ -154,7 +152,6 @@ class RecoveryDriver {
 
   /// Removes and returns the round for the protocol to decide from.
   Round close_round(NodeId dead);
-  void abandon_round(NodeId dead) { rounds_.erase(dead); }
   void clear_rounds() { rounds_.clear(); }
 
   /// Per-tick round maintenance: for every open round at least `period` old,
@@ -231,6 +228,33 @@ class RecoveryDriver {
       rsm::CommandLog& log, storage::Durability* dur,
       stats::ProtocolStats* stats, const char* who,
       const std::function<void(std::uint64_t new_frontier)>& rebase);
+
+  // --- instance-space catch-up -------------------------------------------
+  // The request is the round id, then the protocol's body; each reply frame
+  // is the round, an item count, the items, and a done flag.
+
+  /// Latches catchup_needed and sends the next live peer on the rotor the
+  /// new round id followed by `write_body`'s bytes.
+  void request_instance_catchup(
+      Protocol& self, const std::function<void(net::Encoder&)>& write_body,
+      stats::ProtocolStats* stats);
+
+  /// The responder: reads the round, takes `choose(request)` — the ids to
+  /// ship, in frame order — and streams them kCatchupChunkEntries to a
+  /// frame, each item written by `write_item`. An empty list still sends
+  /// one done frame so the requester's latch can clear.
+  static void serve_instance_catchup(
+      Protocol& self, NodeId from, net::Decoder& request,
+      const std::function<std::vector<std::uint64_t>(net::Decoder&)>& choose,
+      const std::function<void(net::Encoder&, std::uint64_t id)>& write_item,
+      stats::ProtocolStats* stats);
+
+  /// Reads one reply frame: `apply_item(reply)` decodes and applies one item
+  /// and returns whether it was news to this node. The done frame of the
+  /// round in flight ends the round (finish_catchup_round).
+  void read_instance_reply(net::Decoder& d,
+                           const std::function<bool(net::Decoder&)>& apply_item,
+                           stats::ProtocolStats* stats);
 
   // --- revocation exchange (the protocol's own query/info tags) -----------
   /// Broadcasts a round's query: the dead node and the round anchor.

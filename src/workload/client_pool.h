@@ -165,11 +165,8 @@ class ClientPool {
   /// from `cfg` (clients_per_site/think_us), i.e. the paper's methodology.
   /// `horizon` is the intended run length; it closes out a ramp in the last
   /// phase (0 = unknown: a trailing ramp holds its starting rate).
-  ClientPool(sim::Simulator& sim, rt::Cluster& cluster, WorkloadConfig cfg,
-             Rng rng, std::vector<PhaseSpec> phases = {}, Time horizon = 0);
-
-  /// Same, but submitting through an arbitrary frontend (a shard router).
-  /// `front` must outlive the pool.
+  /// Requests go through `front` (a ClusterFrontend over one rt::Cluster,
+  /// or a shard router), which must outlive the pool.
   ClientPool(sim::Simulator& sim, Frontend& front, WorkloadConfig cfg, Rng rng,
              std::vector<PhaseSpec> phases = {}, Time horizon = 0);
 
@@ -229,7 +226,6 @@ class ClientPool {
     NodeId arrival = kNoNode;
   };
 
-  void init();
   bool client_active(std::uint32_t client_idx) const;
   NodeId live_site_for(NodeId preferred) const;
   void enter_phase(const PhaseSpec& phase);
@@ -244,9 +240,6 @@ class ClientPool {
   void release_open_slot(NodeId site);
 
   sim::Simulator& sim_;
-  /// Set only by the rt::Cluster convenience constructor; declared before
-  /// front_ so the reference below can bind to it.
-  std::unique_ptr<ClusterFrontend> owned_front_;
   Frontend& front_;
   WorkloadConfig cfg_;
   Rng rng_;

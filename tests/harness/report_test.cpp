@@ -231,6 +231,23 @@ TEST(PrintReportTest, RendersSitesWindowsAndTotals) {
   EXPECT_NE(out.find("consistent: yes"), std::string::npos);
 }
 
+// The totals list every nonzero protocol counter under its JSON name —
+// including ones a hand-picked subset used to leave out — and no zero one.
+TEST(PrintReportTest, ListsEveryNonzeroCounterByJsonName) {
+  RunReport r = golden_report();
+  r.proto.waits = 5;
+  r.proto.slow_proposals = 3;
+  r.proto.revocations = 0;
+  std::ostringstream os;
+  print_report(r, os);
+  const std::string out = os.str();
+  EXPECT_NE(out.find("fast_decisions: 2"), std::string::npos);
+  EXPECT_NE(out.find("waits: 5"), std::string::npos);
+  EXPECT_NE(out.find("slow_proposals: 3"), std::string::npos);
+  EXPECT_EQ(out.find("revocations"), std::string::npos);
+  EXPECT_EQ(out.find("slow_decisions"), std::string::npos);
+}
+
 // A run with consistency checking off has no verdict: it must not read as
 // a pass in either emitter, top level or per shard.
 TEST(PrintReportTest, UncheckedRunReportsNoVerdict) {

@@ -168,6 +168,48 @@ TEST(ScenarioFileTest, SaturationKnobErrorsNameTheField) {
             std::string::npos);
 }
 
+// An integer that does not fit its field is an error naming the field, never
+// a silently wrapped value (a crash of node 2^32 used to become node 0).
+TEST(ScenarioFileTest, IntegersThatDoNotFitTheFieldAreRejected) {
+  const auto expect_range_error = [](const std::string& text,
+                                     const std::string& field) {
+    const std::string err = parse_error(text);
+    EXPECT_NE(err.find("\"" + field + "\""), std::string::npos) << err;
+    EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  };
+  expect_range_error(
+      R"({"duration_s": 5, "faults": [{"kind": "crash",
+          "node": 4294967296, "at_s": 1}]})",
+      "faults[0].node");
+  expect_range_error(R"({"shards": {"count": 4294967297}})", "shards.count");
+  expect_range_error(
+      R"({"duration_s": 5, "shards": {"count": 2}, "faults": [{"kind":
+          "crash", "node": 0, "group": 2147483648, "at_s": 1}]})",
+      "faults[0].group");
+  expect_range_error(R"({"clients_per_site": 4294967296})",
+                     "clients_per_site");
+  expect_range_error(R"({"flow_control": {"max_inflight": 4294967296}})",
+                     "flow_control.max_inflight");
+  expect_range_error(R"({"multipaxos_leader": 4294967299})",
+                     "multipaxos_leader");
+  // Past int64 the double-to-integer cast itself would be undefined.
+  expect_range_error(R"({"seed": 1e20})", "seed");
+  expect_range_error(R"({"node": {"batch_delay_us": -1e20}})",
+                     "node.batch_delay_us");
+}
+
+// Likewise a duration whose microseconds overflow a Time: it used to wrap
+// into a misleading "must be positive" error, or into a run with a wrapped
+// timeout.
+TEST(ScenarioFileTest, DurationsThatOverflowAreRejected) {
+  for (const std::string field : {"duration_s", "fd_timeout_ms"}) {
+    const std::string err = parse_error("{\"" + field + "\": 1e17}");
+    EXPECT_NE(err.find("\"" + field + "\": duration out of range"),
+              std::string::npos)
+        << err;
+  }
+}
+
 TEST(ScenarioFileTest, RejectsMalformedJson) {
   EXPECT_THROW(scenario_from_json("{", "t"), std::invalid_argument);
   EXPECT_THROW(scenario_from_json("{}trailing", "t"), std::invalid_argument);

@@ -202,6 +202,24 @@ TEST(ScenarioValidationTest, HandBuiltScenarioPhasesValidateInAnyOrder) {
 // Registry
 // ---------------------------------------------------------------------------
 
+// The CLI and scenario files name protocols in lower case; parse_protocol
+// is to_string's inverse on those names, and rejects anything else.
+TEST(ProtocolKindTest, ParseRoundTripsEveryKind) {
+  for (ProtocolKind kind :
+       {ProtocolKind::kCaesar, ProtocolKind::kEPaxos, ProtocolKind::kM2Paxos,
+        ProtocolKind::kMencius, ProtocolKind::kMultiPaxos,
+        ProtocolKind::kClockRsm}) {
+    std::string name(to_string(kind));
+    std::transform(name.begin(), name.end(), name.begin(), [](char c) {
+      return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    });
+    EXPECT_EQ(parse_protocol(name), kind) << name;
+  }
+  EXPECT_EQ(parse_protocol("raft"), std::nullopt);
+  EXPECT_EQ(parse_protocol(""), std::nullopt);
+  EXPECT_EQ(parse_protocol("caesarx"), std::nullopt);
+}
+
 TEST(ScenarioRegistryTest, BuiltinsAreRegistered) {
   for (const char* name : {"quickstart", "fig12-failover", "partition-heal",
                            "crash-recover", "rate-sweep"}) {

@@ -61,13 +61,15 @@ struct PoolFixture {
         [this](NodeId node, const rsm::Command& cmd) {
           if (pool) pool->on_delivery(node, cmd);
         });
-    pool = std::make_unique<ClientPool>(sim, *cluster, wcfg, sim.rng().fork(),
+    front = std::make_unique<ClusterFrontend>(*cluster);
+    pool = std::make_unique<ClientPool>(sim, *front, wcfg, sim.rng().fork(),
                                         std::move(phases));
     cluster->start();
   }
 
   sim::Simulator sim;
   std::unique_ptr<rt::Cluster> cluster;
+  std::unique_ptr<ClusterFrontend> front;
   std::unique_ptr<ClientPool> pool;
 };
 
